@@ -82,23 +82,22 @@ def run_overhead_comparison():
     bare = LinkBackend(link)
     wrapped = wrap_resilience(LinkBackend(link))
     grid = ProbeGrid.product(vx=LEVELS, vy=LEVELS)
+    aligned = ProbeGrid.aligned(vx=VX_GRID, vy=VY_GRID)
 
     # Warm-up both paths (NumPy dispatch, surface response caches).
-    bare.measure_batch(VX_GRID, VY_GRID)
-    wrapped.measure_batch(VX_GRID, VY_GRID)
+    bare.measure_grid(aligned)
+    wrapped.measure_grid(aligned)
     bare.measure_grid(grid)
     wrapped.measure_grid(grid)
 
     rows = [
         overhead_row(
-            f"measure_batch x{CALLS} ({LEVELS.size}^2 bias grid)",
+            f"measure_grid x{CALLS} ({LEVELS.size}^2 aligned bias grid)",
             CALLS * VX_GRID.size,
-            lambda: [bare.measure_batch(VX_GRID, VY_GRID)
-                     for _ in range(CALLS)],
-            lambda: [wrapped.measure_batch(VX_GRID, VY_GRID)
-                     for _ in range(CALLS)],
-            float(np.max(np.abs(wrapped.measure_batch(VX_GRID, VY_GRID)
-                                - bare.measure_batch(VX_GRID, VY_GRID))))),
+            lambda: [bare.measure_grid(aligned) for _ in range(CALLS)],
+            lambda: [wrapped.measure_grid(aligned) for _ in range(CALLS)],
+            float(np.max(np.abs(wrapped.measure_grid(aligned)
+                                - bare.measure_grid(aligned))))),
         overhead_row(
             f"measure_grid x{CALLS} ({LEVELS.size}^2 probe grid)",
             CALLS * grid.size,

@@ -2,9 +2,9 @@
 
 The grid engine evaluates a whole frequency x distance (or tx-power x
 distance) product grid in one pass of the link budget; the reference
-loops ``received_power_dbm_sweep`` over the second axis with a link
-rebuilt per value — the best the PR 2 sweep engine could do for joint
-grids.  Gated at >= 3x with parity <= 1e-9 dB.
+loops a one-axis (frequency) probe grid over the second axis with a
+link rebuilt per value — the best a single-axis sweep engine can do for
+joint grids.  Gated at >= 3x with parity <= 1e-9 dB.
 """
 
 from dataclasses import replace
@@ -33,7 +33,7 @@ VOLTAGE_PAIRS = (np.array([0.0, 7.0, 15.0, 30.0]),
 
 
 def _looped_second_axis(link, axis, values):
-    """Reference: one link rebuild + single-axis sweep per outer value."""
+    """Reference: one link rebuild + one-axis grid per outer value."""
     vx, vy = VOLTAGE_PAIRS
     rows = []
     for value in values:
@@ -43,8 +43,8 @@ def _looped_second_axis(link, axis, values):
             config = replace(link.configuration,
                              geometry=LinkGeometry.transmissive(float(value)))
         point_link = WirelessLink(config)
-        rows.append(point_link.received_power_dbm_sweep(
-            "frequency", FREQUENCIES[:, None], vx=vx, vy=vy))
+        rows.append(point_link.evaluate_grid(ProbeGrid.aligned(
+            frequency=FREQUENCIES[:, None], vx=vx, vy=vy)))
     return np.stack(rows, axis=1)
 
 
@@ -76,7 +76,7 @@ def test_bench_grid_engine(benchmark):
     rows = run_once(benchmark, run_grid_engine_comparison)
 
     print_speedup_table(
-        "N-D grid engine vs looping received_power_dbm_sweep over the "
+        "N-D grid engine vs looping a one-axis grid over the "
         "second axis", rows, row_label="grid", count_label="points",
         slow_label="looped sweep", fast_label="grid engine")
 

@@ -9,13 +9,13 @@ every cell optimized by the grid-native Algorithm 1 in batched probes.
 import numpy as np
 
 from bench_utils import run_once
-from repro.experiments import figures
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import run_experiment
 
 
 def run_two_axis_scenarios():
-    gain = figures.gain_surface_frequency_distance()
-    coverage = figures.coverage_map_txpower_distance()
+    gain = run_experiment("gain_surface").payload
+    coverage = run_experiment("coverage_map").payload
     return gain, coverage
 
 

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Tour of the batched measurement-plane API (repro.api).
 
-Demonstrates the pieces the API redesign and the multi-axis sweep
-engine introduced:
+Demonstrates the pieces of the batched API:
 
 1. :class:`ScenarioBuilder` — a new workload is one chained expression,
 2. :class:`LinkSession` — the facade owning the link / rotator / supply
-   bundle, with batched probing and cached derived sessions,
-3. :class:`MeasurementBackend` — the pluggable data plane: the same
-   controller runs against the vectorized simulation backend or any
-   legacy scalar callable wrapped in :class:`CallableBackend`,
-4. ``measure_sweep`` / ``optimize_sweep`` — whole link-parameter axes
-   (frequency, tx power, distance, rx orientation) evaluated and
-   optimized in single vectorized passes.
+   bundle, probing a :class:`ProbeGrid` in one vectorized pass, with
+   cached derived sessions,
+3. :class:`MeasurementBackend` — the one-method pluggable data plane
+   (``measure_grid``): the same controller runs against the vectorized
+   simulation backend or any scalar callable wrapped in
+   :class:`CallableBackend`,
+4. ``measure_grid`` / ``optimize_grid`` over link-parameter axes —
+   a whole frequency axis (or tx power, distance, rx orientation)
+   evaluated and optimized in single vectorized passes.
 
 Run with::
 
@@ -23,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro.api import CallableBackend, LinkBackend, ScenarioBuilder
+from repro.api import CallableBackend, LinkBackend, ProbeGrid, ScenarioBuilder
 from repro.core.controller import CentralizedController, VoltageSweepConfig
 
 
@@ -43,7 +44,7 @@ def main() -> None:
     levels = np.arange(0.0, 31.0, 1.0)
     vx, vy = np.meshgrid(levels, levels, indexing="ij")
     start = time.perf_counter()
-    heatmap = session.measure_batch(vx, vy)
+    heatmap = session.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy))
     batched_s = time.perf_counter() - start
     start = time.perf_counter()
     for a, b in zip(vx.ravel()[:50], vy.ravel()[:50]):
@@ -73,13 +74,14 @@ def main() -> None:
     print("Backend substitution   : vectorized and wrapped-callable agree -> "
           f"{fast.best_power_dbm:.3f} dBm vs {legacy.best_power_dbm:.3f} dBm")
 
-    # 4. Multi-axis sweep engine: a whole frequency axis in one call —
-    #    the Fig. 17 experiment is a single vectorized search instead of
-    #    a per-frequency rebuild-and-optimize loop.
+    # 4. Grid-native search: a whole frequency axis in one call — the
+    #    Fig. 17 experiment is a single vectorized search instead of a
+    #    per-frequency rebuild-and-optimize loop.
     frequencies = np.arange(2.40e9, 2.501e9, 0.01e9)
+    band = ProbeGrid.product(frequency=frequencies)
     start = time.perf_counter()
-    sweep = session.optimize_sweep("frequency", frequencies)
-    baseline = session.baseline().measure_sweep("frequency", frequencies)
+    sweep = session.optimize_grid(band)
+    baseline = session.baseline().measure_grid(band)
     sweep_s = time.perf_counter() - start
     worst = np.min(sweep.best_power_dbm - baseline)
     print(f"Frequency sweep        : {frequencies.size} points in "

@@ -16,6 +16,7 @@ Run with::
     python examples/realtime_control_loop.py
 """
 
+from repro.api import LinkBackend
 from repro.channel.antenna import directional_antenna
 from repro.channel.geometry import LinkGeometry
 from repro.channel.link import DeploymentMode, LinkConfiguration, WirelessLink
@@ -72,8 +73,9 @@ def main() -> None:
     # --- 3. Algorithm 1 vs exhaustive scan --------------------------------
     controller = CentralizedController(VoltageSweepConfig(iterations=2,
                                                           switches_per_axis=5))
-    fast = controller.coarse_to_fine_sweep(link.received_power_dbm)
-    full = controller.full_sweep(link.received_power_dbm, step_v=1.0)
+    backend = LinkBackend(link)
+    fast = controller.coarse_to_fine_sweep(backend)
+    full = controller.full_sweep(backend, step_v=1.0)
     print("\nSearch-strategy comparison:")
     print(f"  coarse-to-fine : best {fast.best_power_dbm:6.1f} dBm "
           f"with {fast.probe_count:4d} probes (~{fast.duration_s:5.1f} s)")

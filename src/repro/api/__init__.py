@@ -2,15 +2,15 @@
 
 This package is the public face of the reproduction's measurement
 plane.  It separates *what is probed* (a
-:class:`~repro.api.backend.MeasurementBackend` answering scalar,
-batched, single-axis or N-D grid queries) from *what orchestrates the
-probing* (controllers, estimators, schedulers and figure runners), so
-sweeps are vectorized end to end and backends — simulation, noisy
-receivers, recorded traces, hardware — are substitutable.
+:class:`~repro.api.backend.MeasurementBackend` answering probe-grid
+queries) from *what orchestrates the probing* (controllers,
+estimators, schedulers and figure runners), so sweeps are vectorized
+end to end and backends — simulation, noisy receivers, recorded
+traces, hardware — are substitutable.
 
-* :class:`MeasurementBackend`, :class:`SweepMeasurementBackend`,
-  :class:`GridMeasurementBackend` — the backend protocols, from scalar
-  bias probes up to whole N-D probe grids.
+* :class:`MeasurementBackend` — the one-method backend protocol:
+  ``measure_grid(grid)`` reports power at every operating point of a
+  :class:`ProbeGrid`, from a 0-d scalar probe up to N-D grids.
 * :class:`LinkBackend`, :class:`CallableBackend`,
   :class:`ReceiverSweepBackend` — the stock implementations.
 * :class:`ProbeGrid` (re-exported from :mod:`repro.channel.grid`) — the
@@ -41,22 +41,18 @@ from repro.api.backend import (
     CallableBackend,
     CallableOrientationBackend,
     FixedOrientationBackend,
-    GridMeasurementBackend,
     LinkBackend,
-    MeasureCallback,
     MeasurementBackend,
     OrientationBackend,
     OrientationMeasureCallback,
     OrientationMeasurementBackend,
     ReceiverSweepBackend,
-    SweepMeasurementBackend,
-    as_backend,
-    as_orientation_backend,
 )
 from repro.api.builder import ScenarioBuilder
 from repro.api.fleet import (
     SCHEDULE_STRATEGIES,
     SURFACE_DESIGNS,
+    AlignedProbeError,
     FleetBiasPlan,
     FleetSession,
     FleetSpec,
@@ -118,24 +114,19 @@ def __getattr__(name):
     return getattr(importlib.import_module(module_name), attribute)
 
 __all__ = [
-    "MeasureCallback",
     "MeasurementBackend",
     "LinkBackend",
     "CallableBackend",
-    "SweepMeasurementBackend",
-    "GridMeasurementBackend",
     "ReceiverSweepBackend",
     "GRID_AXES",
     "GridAxis",
     "ProbeGrid",
     "SWEEP_AXES",
-    "as_backend",
     "OrientationMeasureCallback",
     "OrientationMeasurementBackend",
     "OrientationBackend",
     "CallableOrientationBackend",
     "FixedOrientationBackend",
-    "as_orientation_backend",
     "LinkSession",
     "ScenarioBuilder",
     "SCHEDULE_STRATEGIES",
@@ -145,6 +136,7 @@ __all__ = [
     "FleetSpec",
     "FleetBiasPlan",
     "FleetSession",
+    "AlignedProbeError",
     "FaultSpec",
     "FaultSchedule",
     "RetryPolicy",

@@ -1,26 +1,30 @@
-"""Measurement backends: the typed data plane of the batched API.
+"""Measurement backends: the one-method probe protocol of the API.
 
 The controller, schedulers and figure runners only ever need one
-operation from the world: "what power does the receiver report at a set
-of bias pairs?".  The seed codebase expressed that as a scalar
-``measure(vx, vy) -> power_dbm`` callable, which forces every sweep into
-a Python loop over the full Jones/Friis/multipath budget.  This module
-replaces the callback with a small, well-typed protocol:
+operation from the world: "what power does the receiver report at
+these operating points?".  A :class:`~repro.channel.grid.ProbeGrid`
+names the operating points (bias voltages plus any subset of
+:data:`~repro.channel.grid.SWEEP_AXES`), so the protocol is a single
+method::
 
-* :class:`MeasurementBackend` — the protocol: ``measure`` for one probe
-  and ``measure_batch`` for whole NumPy bias grids;
-* :class:`LinkBackend` — the simulation backend, delegating to the
-  vectorized :meth:`repro.channel.link.WirelessLink.received_power_dbm_batch`;
-* :class:`CallableBackend` — adapts any legacy scalar callable (noisy
-  receivers, recorded traces, real hardware) to the protocol, looping
-  for batches so orchestration code only ever talks batch;
-* :class:`OrientationBackend` / :class:`FixedOrientationBackend` — the
-  two-argument-plus-orientation variant the rotation-angle estimator
-  needs, with per-orientation link caching.
+    measure_grid(grid: ProbeGrid) -> np.ndarray   # shape grid.shape
 
-Orchestration layers accept either a backend or a legacy callable; bare
-callables are wrapped via :func:`as_backend` (with a deprecation
-warning at the public entry points).
+A scalar probe is a 0-d grid, a bias heatmap a bias-only grid, and a
+per-point controller search an aligned grid over one or more sweep
+axes.  A backend raises ``TypeError`` for grid axes it cannot serve.
+
+* :class:`MeasurementBackend` — the protocol;
+* :class:`LinkBackend` — the simulation backend: any axes, one
+  vectorized pass of :meth:`repro.channel.link.WirelessLink.evaluate_grid`;
+* :class:`CallableBackend` — adapts a scalar ``measure(vx, vy)``
+  callable (noisy receivers, recorded traces, real hardware); serves
+  bias-only grids through a Python loop;
+* :class:`ReceiverSweepBackend` — the noisy sampling receiver of
+  Figs. 18-19; serves grids with exactly one sweep axis;
+* :class:`OrientationBackend` / :class:`CallableOrientationBackend` —
+  the orientation-aware variant the rotation-angle estimator needs,
+  with per-orientation link caching, and :class:`FixedOrientationBackend`,
+  its bias-only :class:`MeasurementBackend` view.
 """
 
 from __future__ import annotations
@@ -33,57 +37,17 @@ import numpy as np
 from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
 
-#: Legacy scalar measurement callback signature.
-MeasureCallback = Callable[[float, float], float]
-
-#: Legacy orientation-aware measurement callback signature.
+#: Scalar orientation-aware measurement callback signature.
 OrientationMeasureCallback = Callable[[float, float, float], float]
 
 
 @runtime_checkable
 class MeasurementBackend(Protocol):
-    """Anything that can report received power for bias pairs.
+    """Anything that can report received power over a probe grid.
 
-    Implementations must be consistent between the scalar and batch
-    entry points: ``measure_batch([vx], [vy])[0] == measure(vx, vy)`` up
-    to measurement noise.
-    """
-
-    def measure(self, vx: float, vy: float) -> float:
-        """Received power (dBm) at one bias pair."""
-        ...
-
-    def measure_batch(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Received power (dBm) for arrays of bias pairs (same shape)."""
-        ...
-
-
-@runtime_checkable
-class SweepMeasurementBackend(Protocol):
-    """A measurement plane that can probe a whole link-parameter axis.
-
-    ``measure_sweep(axis, values, vx, vy)`` reports received power for
-    every (axis value, bias pair) operating point in one call; axis
-    values and voltage arrays broadcast element-wise (the multi-axis
-    controller passes ``(n, 1)`` values against ``(n, k)`` per-point
-    voltage grids).  Axes are the :data:`repro.channel.link.SWEEP_AXES`.
-    """
-
-    def measure_sweep(self, axis: str, values, vx, vy) -> np.ndarray:
-        """Received power (dBm) over a sweep-axis/bias-grid batch."""
-        ...
-
-
-@runtime_checkable
-class GridMeasurementBackend(Protocol):
-    """A measurement plane that can probe a whole N-D probe grid.
-
-    ``measure_grid(grid)`` reports received power at every operating
-    point of a :class:`~repro.channel.grid.ProbeGrid` — bias voltages
-    plus any subset of :data:`repro.channel.grid.SWEEP_AXES` — in one
-    call, returning an array of ``grid.shape``.  This is the richest
-    probe the grid-native controller dispatches to; backends that only
-    implement ``measure_sweep`` still serve single-axis search grids.
+    ``measure_grid(grid)`` returns an array of ``grid.shape``; cell
+    ``index`` is the power at that cell's operating point.  Backends
+    raise ``TypeError`` for grid axes they cannot serve.
     """
 
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
@@ -95,68 +59,49 @@ class LinkBackend:
     """The simulation backend: probes a :class:`WirelessLink` directly.
 
     This is the noiseless, vectorized data plane every deterministic
-    sweep and figure runner uses.  Batched probes evaluate the full link
-    budget over the whole grid in one NumPy pass; ``measure_sweep``
-    additionally vectorizes a frequency / tx-power / distance /
-    rx-orientation axis alongside the bias grid.
+    sweep and figure runner uses: any probe grid evaluates the full
+    link budget in one NumPy pass.
     """
 
     def __init__(self, link: WirelessLink):
         self.link = link
 
-    def measure(self, vx: float, vy: float) -> float:
-        """Received power (dBm) at one bias pair."""
-        return self.link.received_power_dbm(vx, vy)
-
-    def measure_batch(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Received power (dBm) over whole bias grids in one pass."""
-        return self.link.received_power_dbm_batch(vx, vy)
-
-    def measure_sweep(self, axis: str, values, vx=0.0, vy=0.0) -> np.ndarray:
-        """Received power (dBm) over a whole link-parameter axis at once."""
-        return self.link.received_power_dbm_sweep(axis, values, vx=vx, vy=vy)
-
     def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Received power (dBm) over a whole N-D probe grid at once."""
-        return self.link.evaluate(grid)
+        return self.link.evaluate_grid(grid)
 
 
 class CallableBackend:
-    """Adapts a legacy scalar ``measure(vx, vy)`` callable to the protocol.
+    """Adapts a scalar ``measure(vx, vy)`` callable to the protocol.
 
-    Batched probes fall back to a Python loop, preserving the exact
-    probe order (and therefore the noise-sequence/clock behaviour of
-    stateful callables such as the simulated sampling receiver or a
-    hardware supply in the loop).
+    Serves bias-only grids by looping the callable over the grid's
+    cells in C order, which for the controller's vx-major grids is the
+    historical probe order (and therefore the noise-sequence/clock
+    behaviour of stateful callables such as the simulated sampling
+    receiver or a hardware supply in the loop).
     """
 
-    def __init__(self, measure: MeasureCallback):
+    def __init__(self, measure: Callable[[float, float], float]):
         if not callable(measure):
             raise TypeError("CallableBackend needs a measure(vx, vy) callable")
         self._measure = measure
 
-    def measure(self, vx: float, vy: float) -> float:
-        """Received power (dBm) at one bias pair."""
-        return float(self._measure(vx, vy))
-
-    def measure_batch(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Loop the scalar callable over the (broadcast) voltage arrays."""
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        vx_b, vy_b = np.broadcast_arrays(vx, vy)
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
+        """Loop the scalar callable over a bias-only grid."""
+        vx, vy = grid.bias_voltages()
         powers = np.array([self._measure(float(a), float(b))
-                           for a, b in zip(vx_b.ravel(), vy_b.ravel())],
+                           for a, b in zip(vx.ravel(), vy.ravel())],
                           dtype=float)
-        return powers.reshape(vx_b.shape)
+        return powers.reshape(grid.shape)
 
 
 class ReceiverSweepBackend:
     """Sweep-axis measurement plane over a noisy sampling receiver.
 
     Adapts a :class:`repro.radio.transceiver.SimulatedReceiver` to the
-    :class:`SweepMeasurementBackend` protocol for the capacity
-    experiments of Figs. 18-19, where the controller must see *noisy*
-    power reports.  Probes are issued through the receiver's batched
+    protocol for the capacity experiments of Figs. 18-19, where the
+    controller must see *noisy* power reports.  Serves grids with
+    exactly one sweep axis through the receiver's batched
     :meth:`measure_power_dbm_sweep`, which draws one noise realisation
     per probe column and shares it across axis points — reproducing, to
     floating-point round-off, the reports a Python loop of identically
@@ -171,22 +116,19 @@ class ReceiverSweepBackend:
         self.duration_s = duration_s
         self.tone_frequency_hz = tone_frequency_hz
 
-    def measure_sweep(self, axis: str, values, vx=0.0, vy=0.0) -> np.ndarray:
-        """Noisy received-power reports over a sweep-axis/bias batch."""
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
+        """Noisy received-power reports over a one-sweep-axis grid."""
+        if len(grid.sweep_names) != 1:
+            raise TypeError(
+                f"ReceiverSweepBackend serves grids with exactly one sweep "
+                f"axis; the grid has {grid.sweep_names}")
+        axis = grid.sweep_names[0]
         return self.receiver.measure_power_dbm_sweep(
-            axis, values, vx=vx, vy=vy, duration_s=self.duration_s,
+            axis, grid.shaped(axis),
+            vx=grid.shaped("vx") if "vx" in grid else 0.0,
+            vy=grid.shaped("vy") if "vy" in grid else 0.0,
+            duration_s=self.duration_s,
             tone_frequency_hz=self.tone_frequency_hz)
-
-
-def as_backend(measure) -> MeasurementBackend:
-    """Coerce a backend-or-callable into a :class:`MeasurementBackend`.
-
-    Objects already exposing ``measure``/``measure_batch`` pass through
-    untouched; bare callables are wrapped in :class:`CallableBackend`.
-    """
-    if hasattr(measure, "measure_batch") and hasattr(measure, "measure"):
-        return measure
-    return CallableBackend(measure)
 
 
 # ---------------------------------------------------------------------- #
@@ -240,12 +182,12 @@ class OrientationBackend:
     def measure_batch(self, orientation_deg: float, vx: np.ndarray,
                       vy: np.ndarray) -> np.ndarray:
         """Vectorized bias sweep at one receiver orientation."""
-        return self.link_for_orientation(
-            orientation_deg).received_power_dbm_batch(vx, vy)
+        return self.link_for_orientation(orientation_deg).evaluate_grid(
+            ProbeGrid.aligned(vx=vx, vy=vy))
 
 
 class CallableOrientationBackend:
-    """Adapts a legacy ``measure(orientation, vx, vy)`` callable."""
+    """Adapts a scalar ``measure(orientation, vx, vy)`` callable."""
 
     def __init__(self, measure: OrientationMeasureCallback):
         if not callable(measure):
@@ -274,7 +216,8 @@ class FixedOrientationBackend:
     """A :class:`MeasurementBackend` view of an orientation backend.
 
     Freezes the receiver orientation so the bias-voltage controller can
-    sweep voltages without knowing about the turntable.
+    sweep voltages without knowing about the turntable; serves
+    bias-only grids.
     """
 
     def __init__(self, backend: OrientationMeasurementBackend,
@@ -282,35 +225,20 @@ class FixedOrientationBackend:
         self._backend = backend
         self.orientation_deg = float(orientation_deg)
 
-    def measure(self, vx: float, vy: float) -> float:
-        """Received power (dBm) at one bias pair."""
-        return self._backend.measure(self.orientation_deg, vx, vy)
-
-    def measure_batch(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Received power (dBm) over bias grids at the fixed orientation."""
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
+        """Received power (dBm) over a bias-only grid at the fixed angle."""
+        vx, vy = grid.bias_voltages()
         return self._backend.measure_batch(self.orientation_deg, vx, vy)
 
 
-def as_orientation_backend(measure) -> OrientationMeasurementBackend:
-    """Coerce an orientation backend-or-callable to the protocol."""
-    if hasattr(measure, "measure_batch") and hasattr(measure, "measure"):
-        return measure
-    return CallableOrientationBackend(measure)
-
-
 __all__ = [
-    "MeasureCallback",
     "OrientationMeasureCallback",
     "MeasurementBackend",
-    "SweepMeasurementBackend",
-    "GridMeasurementBackend",
     "LinkBackend",
     "CallableBackend",
     "ReceiverSweepBackend",
-    "as_backend",
     "OrientationMeasurementBackend",
     "OrientationBackend",
     "CallableOrientationBackend",
     "FixedOrientationBackend",
-    "as_orientation_backend",
 ]

@@ -29,7 +29,7 @@ Migration from the per-station loop idiom::
     # before (PR 1-3): one facade per station, a Python loop per probe
     for station in stations:
         session = LinkSession(configuration_for(station))
-        powers[station] = session.measure_batch(vx, vy)
+        powers[station] = session.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy))
 
     # after: one fleet, one pass
     fleet = FleetSession(FleetSpec.random_home(station_count=8))
@@ -83,6 +83,33 @@ from repro.network.scheduler import (
     ScheduleResult,
     baseline_without_surface,
 )
+
+
+class AlignedProbeError(ValueError):
+    """An aligned probe's bias arrays do not match its station count."""
+
+
+def _aligned_biases(vx, vy, station_count: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate the per-station bias pairs of an aligned (TDMA) probe.
+
+    ``vx`` / ``vy`` must each be a scalar (shared by every station) or
+    1-D with one value per station; any other shape would broadcast
+    into rows that belong to no station.
+    """
+    vx = np.asarray(vx, dtype=float)
+    vy = np.asarray(vy, dtype=float)
+    if any(values.ndim > 1 or (values.ndim == 1 and
+                               values.shape[0] != station_count)
+           for values in (vx, vy)):
+        def length(values):
+            return "scalar" if values.ndim == 0 else values.shape
+        raise AlignedProbeError(
+            f"aligned probe needs vx and vy scalar or of length "
+            f"{station_count} (one per station); got vx {length(vx)}, "
+            f"vy {length(vy)} for {station_count} stations")
+    return vx, vy
+
 
 #: Named metasurface designs a :class:`FleetSpec` can reference; the
 #: name is what serializes, the factory builds the shared surface.
@@ -600,8 +627,14 @@ class FleetSession:
 
     def measure_aligned(self, vx, vy,
                         stations: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Per-station power at *per-station* bias pairs (one TDMA epoch)."""
-        return self.deployment.rssi_aligned(vx, vy, stations)
+        """Per-station power at *per-station* bias pairs (one TDMA epoch).
+
+        ``vx`` / ``vy`` are scalars or 1-D with one value per station;
+        other lengths raise :class:`AlignedProbeError`.
+        """
+        names = self.station_names if stations is None else tuple(stations)
+        vx, vy = _aligned_biases(vx, vy, len(names))
+        return self.deployment.rssi_aligned(vx, vy, names)
 
     def probe_aligned(self, vx, vy,
                       stations: Optional[Sequence[str]] = None) -> np.ndarray:
@@ -612,14 +645,14 @@ class FleetSession:
         is its own stacked row, so a window's worth of measure requests
         for the same station coalesces into one pass), evaluated
         through the session's fault and retry planes when configured.
-        With neither configured this is exactly
-        :meth:`measure_aligned`'s probe — the zero-fault service parity
-        the serve experiments pin to <= 1e-9 dB.
+        Bias arrays are checked as in :meth:`measure_aligned`.  With
+        neither plane configured this is exactly :meth:`measure_aligned`'s
+        probe — the zero-fault service parity the serve experiments pin
+        to <= 1e-9 dB.
         """
         names = self.station_names if stations is None else tuple(stations)
+        vx, vy = _aligned_biases(vx, vy, len(names))
         ensemble = self.deployment.ensemble_for(names)
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
         grid = ProbeGrid.aligned(**ensemble.station_grid(0), vx=vx, vy=vy)
         backend = self._resilient_backend(LinkBackend(ensemble.link))
         return np.asarray(backend.measure_grid(grid), dtype=float)
@@ -770,6 +803,7 @@ class FleetSession:
 
 
 __all__ = [
+    "AlignedProbeError",
     "SURFACE_DESIGNS",
     "SCHEDULE_STRATEGIES",
     "StationSpec",

@@ -11,9 +11,12 @@ primary surface.  It replaces the ad-hoc ``WirelessLink(...)``
 construction sprinkled through the seed's controllers, estimators and
 figure runners:
 
-* ``measure`` / ``measure_batch`` probe the link (vectorized fast path),
+* ``measure_grid(ProbeGrid)`` probes the link through the session's
+  backend (fault and retry planes included) in one vectorized pass;
+  ``measure(vx, vy)`` is the 0-d special case,
 * ``optimize`` / ``full_sweep`` run Algorithm 1 / the exhaustive grid
   against the session's backend and park the supply at the optimum,
+  and ``optimize_grid`` runs the search at every point of a grid,
 * ``with_rx_orientation`` returns a cached per-orientation session so
   turntable procedures never rebuild links probe by probe,
 * ``estimate_rotation`` runs the Sec. 3.4 procedure with batched
@@ -158,73 +161,19 @@ class LinkSession:
     # Measurement plane
     # ------------------------------------------------------------------ #
     def measure(self, vx: float = 0.0, vy: float = 0.0) -> float:
-        """Received power (dBm) at one bias pair."""
-        return self.backend.measure(vx, vy)
+        """Received power (dBm) at one bias pair (a 0-d grid probe)."""
+        return float(self.backend.measure_grid(
+            ProbeGrid.aligned(vx=vx, vy=vy)))
 
-    def measure_batch(self, vx, vy) -> np.ndarray:
-        """Received power (dBm) over whole bias grids in one pass."""
-        return self.backend.measure_batch(vx, vy)
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
+        """Received power over an N-D probe grid, one vectorized pass.
 
-    def measure_sweep(self, axis: str, values, vx=0.0, vy=0.0) -> np.ndarray:
-        """Received power (dBm) along a whole link-parameter axis at once.
-
-        ``axis`` is one of :data:`repro.channel.link.SWEEP_AXES`
-        (``"frequency"``, ``"tx_power"``, ``"distance"``,
-        ``"rx_orientation"``); the voltage-independent direct and
-        clutter fields are computed once for the entire sweep.
+        ``grid`` is any :class:`~repro.channel.grid.ProbeGrid` over bias
+        voltages and :data:`repro.channel.grid.SWEEP_AXES` — e.g. a
+        frequency x distance surface; the returned array has
+        ``grid.shape``.
         """
-        return self.backend.measure_sweep(axis, values, vx=vx, vy=vy)
-
-    def optimize_sweep(self, axis: str, values, exhaustive: bool = False,
-                       step_v: float = 1.0):
-        """Run the configured bias search at every axis point at once.
-
-        Returns a :class:`repro.core.controller.MultiAxisSweepResult`
-        whose per-point optima match running :meth:`optimize` on a
-        session rebuilt at each axis value.
-        """
-        return self.controller.optimize_multi(self.backend, axis, values,
-                                              exhaustive=exhaustive,
-                                              step_v=step_v)
-
-    def measure_grid(self, grid=None, *legacy_args, step_v=None,
-                     v_min=None, v_max=None):
-        """Received power over an N-D probe grid (or a legacy heatmap).
-
-        Pass a :class:`~repro.channel.grid.ProbeGrid` to evaluate any
-        joint grid over bias voltages and
-        :data:`repro.channel.grid.SWEEP_AXES` — e.g. a frequency x
-        distance surface — in one vectorized pass; the returned array
-        has ``grid.shape``.  Called without a grid it keeps the
-        historical ``measure_grid(step_v, v_min, v_max)`` signature
-        (positionally or by keyword) and returns the exhaustive
-        ``{(vx, vy): power}`` dict of the Fig. 15/21 heatmap figures.
-        """
-        if isinstance(grid, ProbeGrid):
-            if legacy_args or not all(value is None
-                                      for value in (step_v, v_min, v_max)):
-                raise TypeError("step_v/v_min/v_max do not apply when "
-                                "measuring a ProbeGrid")
-            return self.backend.measure_grid(grid)
-        # Historical signature: the leading positionals (if any) are
-        # (step_v, v_min, v_max) in order, keywords fill the rest.
-        positional = ([] if grid is None else [grid]) + list(legacy_args)
-        if len(positional) > 3:
-            raise TypeError("measure_grid takes at most a ProbeGrid or "
-                            "(step_v, v_min, v_max)")
-        legacy = {"step_v": step_v, "v_min": v_min, "v_max": v_max}
-        for name, value in zip(("step_v", "v_min", "v_max"), positional):
-            if legacy[name] is not None:
-                raise TypeError(f"measure_grid got multiple values for "
-                                f"{name!r}")
-            legacy[name] = float(value)
-        # Deferred import: repro.experiments builds on this package.
-        from repro.experiments.sweeps import voltage_grid_sweep
-        return voltage_grid_sweep(
-            self.link,
-            step_v=2.0 if legacy["step_v"] is None else legacy["step_v"],
-            v_min=0.0 if legacy["v_min"] is None else legacy["v_min"],
-            v_max=30.0 if legacy["v_max"] is None else legacy["v_max"])
+        return self.backend.measure_grid(grid)
 
     def optimize_grid(self, grid, exhaustive: bool = False,
                       step_v: float = 1.0):

@@ -210,6 +210,22 @@ class ProbeGrid:
         expanded: FloatArray = np.broadcast_to(self.shaped(name), self.shape)
         return expanded
 
+    def bias_voltages(self) -> Tuple[FloatArray, FloatArray]:
+        """The ``(vx, vy)`` arrays of a bias-only grid, at :attr:`shape`.
+
+        This is the probe a backend without link-parameter axes serves
+        (a scalar callable, a supply in the loop).  An absent voltage
+        axis reads 0 V.  Raises ``TypeError`` when the grid carries any
+        of :data:`SWEEP_AXES`.
+        """
+        if self.sweep_names:
+            raise TypeError(f"this backend serves bias-only grids; the grid "
+                            f"has sweep axes {self.sweep_names}")
+        shape = self.shape
+        vx = self.expand("vx") if "vx" in self else np.zeros(shape)
+        vy = self.expand("vy") if "vy" in self else np.zeros(shape)
+        return vx, vy
+
     def point_values(self) -> Dict[str, FloatArray]:
         """Flattened per-point value arrays, one ``(size,)`` per axis."""
         return {axis.name: self.expand(axis.name).ravel()

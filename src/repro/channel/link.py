@@ -25,14 +25,13 @@ Performance contract: :class:`LinkConfiguration` is frozen, so a
 :class:`WirelessLink` caches every voltage-independent quantity (the
 direct field, the pattern-weighted clutter field) on first use.  The
 budget itself exists exactly once, in the N-D grid engine behind
-:meth:`WirelessLink.evaluate`: hand it a
+:meth:`WirelessLink.evaluate_grid`: hand it a
 :class:`~repro.channel.grid.ProbeGrid` over bias voltages and any
-subset of :data:`~repro.channel.grid.SWEEP_AXES` and the whole product
-grid evaluates in a single vectorized pass.  The historical entry
-points — scalar :meth:`WirelessLink.received_power_dbm`, the bias-grid
-:meth:`WirelessLink.received_power_dbm_batch` and the single-axis
-:meth:`WirelessLink.received_power_dbm_sweep` — are thin views over
-that engine, pinned to it within 1e-9 dB by the parity suites.
+subset of :data:`~repro.channel.grid.SWEEP_AXES` and the whole grid
+evaluates in a single vectorized pass.  The one other entry point, the
+scalar :meth:`WirelessLink.received_power_dbm`, is a 0-d view over the
+same engine; the parity suites pin the grid engine within 1e-9 dB to a
+link rebuilt per operating point and probed through that scalar view.
 """
 
 from __future__ import annotations
@@ -632,55 +631,6 @@ class WirelessLink:
         Scalar view of the grid engine (one 0-d operating point).
         """
         return float(self._budget_power_dbm(vx, vy, {}))
-
-    def received_power_dbm_batch(self, vx, vy) -> np.ndarray:
-        """Received power (dBm) over whole bias-voltage grids at once.
-
-        ``vx`` and ``vy`` may be scalars or NumPy arrays that broadcast
-        against each other; the returned array has the broadcast shape
-        and matches scalar :meth:`received_power_dbm` at every pair.
-        A bias-only view of the grid engine: the direct and clutter
-        fields come from the link's caches, so the whole
-        Jones/Friis/multipath budget is a single pass of vectorized
-        surface responses — this is the fast path the batched
-        measurement API (:mod:`repro.api`) is built on.
-        """
-        return self._budget_power_dbm(vx, vy, {})
-
-    def received_power_dbm_sweep(self, axis: str, values, vx=0.0,
-                                 vy=0.0) -> np.ndarray:
-        """Received power (dBm) along a whole link-parameter axis at once.
-
-        Single-axis view of the grid engine (for joint axes, build a
-        :class:`~repro.channel.grid.ProbeGrid` and call
-        :meth:`evaluate`).
-
-        Parameters
-        ----------
-        axis:
-            One of ``"frequency"`` (carrier, Hz), ``"tx_power"``
-            (transmit power, dBm), ``"distance"`` (Tx-Rx distance for
-            transmissive/no-surface layouts, surface offset for
-            aimed-at-surface layouts, metres), ``"rx_orientation"``
-            (receive-antenna rotation, degrees) or ``"tx_orientation"``
-            (transmit-antenna rotation, degrees — the per-station
-            polarization axis of fleet deployments).
-        values:
-            Axis values; any array shape.
-        vx, vy:
-            Bias voltages, broadcast element-wise against ``values``
-            (e.g. ``values`` shaped ``(n, 1)`` against per-point voltage
-            grids shaped ``(n, k)`` evaluates ``n`` axis points times
-            ``k`` probes in one pass).
-
-        Matches the scalar path — a fresh link per point via
-        ``dataclasses.replace`` of the axis parameter — to floating-
-        point round-off, while computing the voltage-independent direct
-        and clutter fields once for the entire sweep.
-        """
-        values = np.asarray(values, dtype=float)
-        return self._budget_power_dbm(vx, vy,
-                                      self._axis_parameters(axis, values))
 
     def noise_power_dbm(self) -> float:
         """Receiver noise-plus-interference floor for the configured bandwidth."""

@@ -10,24 +10,22 @@ iteration.  With the paper's defaults (T=5, N=2) the search cost drops
 from ~900 probes to 50.
 
 The controller is deliberately decoupled from the physics: it talks to
-the world through a :class:`repro.api.MeasurementBackend`, issuing one
-*batched* probe per grid (``full_sweep``) or per refinement iteration
-(``coarse_to_fine_sweep``).  The simulation backend evaluates whole
-bias grids in a single vectorized pass of the link budget; hardware or
-recorded-trace backends can answer element by element.
-
-Legacy scalar ``measure(vx, vy) -> power_dbm`` callables are still
-accepted everywhere a backend is, but are deprecated: they are wrapped
-in :class:`repro.api.CallableBackend` (with a ``DeprecationWarning``)
-and probed through a Python loop.
+the world through one method of a :class:`repro.api.MeasurementBackend`,
+``measure_grid(ProbeGrid)``, issuing one probe grid per search
+(``full_sweep``) or per refinement iteration (``coarse_to_fine_sweep``).
+The scalar searches probe bias-only grids; the grid-native searches
+(``optimize_grid``) probe aligned grids that also carry link-parameter
+axes, one row of voltages per grid point.  The simulation backend
+evaluates each grid in a single vectorized pass of the link budget;
+hardware or recorded-trace backends (a scalar callable wrapped in
+:class:`repro.api.CallableBackend`) answer element by element.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,25 +37,15 @@ from repro.constants import (
 )
 from repro.faults.policy import ProbePolicy
 
-MeasureCallback = Callable[[float, float], float]
 
-#: Accepted by every controller entry point: a measurement backend, or a
-#: legacy scalar callable (deprecated).
-MeasureSource = Union["MeasurementBackend", MeasureCallback]
-
-
-def _as_measurement_backend(measure):
-    """Coerce a backend-or-callable argument, warning on the legacy path."""
-    from repro.api.backend import as_backend
-    backend = as_backend(measure)
-    if backend is not measure:
-        warnings.warn(
-            "passing a bare measure(vx, vy) callable to CentralizedController "
-            "is deprecated; pass a repro.api.MeasurementBackend (e.g. "
-            "LinkBackend for vectorized sweeps, or CallableBackend to wrap "
-            "this callable)",
-            DeprecationWarning, stacklevel=3)
-    return backend
+def _probe(backend, policy: ProbePolicy, grid: ProbeGrid) -> np.ndarray:
+    """One (re-voted) ``measure_grid`` probe, typed at the boundary."""
+    if not hasattr(backend, "measure_grid"):
+        raise TypeError(
+            f"expected a repro.api.MeasurementBackend with measure_grid, got "
+            f"{type(backend).__name__}; wrap a scalar measure(vx, vy) "
+            f"callable in repro.api.CallableBackend")
+    return np.asarray(policy.measure(backend.measure_grid, grid), dtype=float)
 
 
 def vectorized_grid_max(levels_x: np.ndarray, levels_y: np.ndarray,
@@ -131,53 +119,16 @@ class VoltageSweepConfig:
 
 
 @dataclass(frozen=True)
-class MultiAxisSweepResult:
-    """Outcome of a bias-voltage search run at every point of a sweep axis.
-
-    The vectorized counterpart of running :class:`SweepResult`-producing
-    searches in a Python loop over a link-parameter axis: element ``i``
-    of every array is exactly what the scalar search at axis value
-    ``values[i]`` would have found (same grids, same first-maximum and
-    NaN semantics), but all points are probed together in one batched
-    ``measure_sweep`` call per iteration.
-    """
-
-    axis: str
-    values: np.ndarray
-    best_vx: np.ndarray
-    best_vy: np.ndarray
-    best_power_dbm: np.ndarray
-    probe_count_per_point: int
-    duration_s_per_point: float
-    strategy: str
-
-    def __post_init__(self) -> None:
-        for name in ("values", "best_vx", "best_vy", "best_power_dbm"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
-
-    @property
-    def point_count(self) -> int:
-        """Number of axis points optimized."""
-        return int(self.values.size)
-
-    def __iter__(self):
-        """Iterate ``(value, best_vx, best_vy, best_power_dbm)`` rows."""
-        return iter(zip(self.values.tolist(), self.best_vx.tolist(),
-                        self.best_vy.tolist(), self.best_power_dbm.tolist()))
-
-
-@dataclass(frozen=True)
 class GridSweepResult:
     """Outcome of a bias-voltage search run at every point of a probe grid.
 
-    The N-D generalisation of :class:`MultiAxisSweepResult`: ``grid`` is
-    a :class:`~repro.channel.grid.ProbeGrid` over link-parameter axes
-    (the controller owns the voltage axes) and every result array has
-    ``grid.shape`` — cell ``index`` holds exactly what the scalar search
-    on a link rebuilt at that cell's axis values would have found (same
-    voltage grids, same first-maximum and NaN semantics), with all cells
-    probed together in one batched call per refinement iteration.
+    ``grid`` is a :class:`~repro.channel.grid.ProbeGrid` over
+    link-parameter axes (the controller owns the voltage axes) and
+    every result array has ``grid.shape`` — cell ``index`` holds exactly
+    what the scalar search on a link rebuilt at that cell's axis values
+    would have found (same voltage grids, same first-maximum and NaN
+    semantics), with all cells probed together in one batched call per
+    refinement iteration.
     """
 
     grid: ProbeGrid
@@ -271,8 +222,8 @@ class CentralizedController:
         """
         vx_flat, vy_flat, powers, best_index = vectorized_grid_max(
             levels_x, levels_y,
-            lambda vx, vy: self.probe_policy.measure(
-                backend.measure_batch, vx, vy))
+            lambda vx, vy: _probe(backend, self.probe_policy,
+                                  ProbeGrid.aligned(vx=vx, vy=vy)))
         samples = [SweepSample(float(vx), float(vy), float(power), iteration)
                    for vx, vy, power in zip(vx_flat, vy_flat, powers)]
         best_power = powers[best_index]
@@ -280,8 +231,7 @@ class CentralizedController:
                 float(vx_flat[best_index]), float(vy_flat[best_index]))
         return samples, best
 
-    def full_sweep(self, measure: MeasureSource,
-                   step_v: float = 1.0) -> SweepResult:
+    def full_sweep(self, backend, step_v: float = 1.0) -> SweepResult:
         """Exhaustive grid scan of the full voltage range.
 
         This is the ~30 s baseline the paper wants to avoid for real-time
@@ -291,7 +241,6 @@ class CentralizedController:
         """
         if step_v <= 0:
             raise ValueError("step must be positive")
-        backend = _as_measurement_backend(measure)
         config = self.config
         levels = np.arange(config.min_voltage_v,
                            config.max_voltage_v + 0.5 * step_v, step_v)
@@ -304,7 +253,7 @@ class CentralizedController:
     # ------------------------------------------------------------------ #
     # Algorithm 1: coarse-to-fine sweep
     # ------------------------------------------------------------------ #
-    def coarse_to_fine_sweep(self, measure: MeasureSource) -> SweepResult:
+    def coarse_to_fine_sweep(self, backend) -> SweepResult:
         """Paper Algorithm 1.
 
         Each iteration probes a ``T x T`` grid across the current search
@@ -312,7 +261,6 @@ class CentralizedController:
         shrinks the window to the step-sized neighbourhood below the
         best probe for the next iteration.
         """
-        backend = _as_measurement_backend(measure)
         config = self.config
         window_x = (config.min_voltage_v, config.max_voltage_v)
         window_y = (config.min_voltage_v, config.max_voltage_v)
@@ -361,33 +309,15 @@ class CentralizedController:
 
         ``point_values`` maps each link-parameter axis to its ``(n,)``
         flattened per-point values; ``grid_vx`` / ``grid_vy`` are
-        ``(n, k)`` vx-major grids (one row per point).  Dispatches to
-        the richest probe the backend offers — ``measure_grid`` (any
-        axes), ``measure_sweep`` (single axis, e.g. the noisy receiver
-        backend) or ``measure_batch`` (no link-parameter axes) — and
-        returns the per-point first-maximum ``(power, vx, vy)`` arrays
-        with NaN probes treated as ``-inf``, matching the scalar
-        :meth:`_probe_grid` semantics row by row.
+        ``(n, k)`` vx-major grids (one row per point).  Probes them as
+        one aligned grid and returns the per-point first-maximum
+        ``(power, vx, vy)`` arrays with NaN probes treated as ``-inf``,
+        matching the scalar :meth:`_probe_grid` semantics row by row.
         """
-        policy = self.probe_policy
-        if hasattr(backend, "measure_grid"):
-            probe = ProbeGrid.aligned(
-                vx=grid_vx, vy=grid_vy,
-                **{name: values[:, None]
-                   for name, values in point_values.items()})
-            powers = policy.measure(backend.measure_grid, probe)
-        elif len(point_values) == 1 and hasattr(backend, "measure_sweep"):
-            (axis, values), = point_values.items()
-            powers = policy.measure(backend.measure_sweep, axis,
-                                    values.reshape(-1, 1), grid_vx, grid_vy)
-        elif not point_values and hasattr(backend, "measure_batch"):
-            powers = policy.measure(backend.measure_batch, grid_vx, grid_vy)
-        else:
-            raise TypeError(
-                "backend cannot probe this grid: it must provide "
-                "measure_grid (any axes), measure_sweep (exactly one "
-                "axis) or measure_batch (no link-parameter axes)")
-        powers = np.asarray(powers, dtype=float)
+        probe = ProbeGrid.aligned(
+            vx=grid_vx, vy=grid_vy,
+            **{name: values[:, None] for name, values in point_values.items()})
+        powers = _probe(backend, self.probe_policy, probe)
         if powers.shape != grid_vx.shape:
             raise ValueError(
                 f"batched sweep measurement returned shape {powers.shape} "
@@ -485,70 +415,21 @@ class CentralizedController:
                       step_v: float = 1.0) -> GridSweepResult:
         """Run the configured search at every point of a probe grid.
 
-        The N-D generalisation of :meth:`optimize` /
-        :meth:`optimize_multi`: ``grid`` names any subset of
-        :data:`repro.channel.grid.SWEEP_AXES` (a 0-d grid reduces to a
-        single scalar search) and the backend is probed once per
-        refinement iteration for the entire grid.
+        The N-D generalisation of :meth:`optimize`: ``grid`` names any
+        subset of :data:`repro.channel.grid.SWEEP_AXES` (a 0-d grid
+        reduces to a single scalar search) and the backend is probed
+        once per refinement iteration for the entire grid.
         """
         if exhaustive:
             return self.full_sweep_grid(backend, grid, step_v=step_v)
         return self.coarse_to_fine_sweep_grid(backend, grid)
 
     # ------------------------------------------------------------------ #
-    # Single-axis wrappers over the grid-native searches
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _as_multi_result(result: GridSweepResult, axis: str,
-                         values: np.ndarray) -> MultiAxisSweepResult:
-        """Flatten a one-axis grid result to the legacy multi shape."""
-        return MultiAxisSweepResult(
-            axis=axis, values=values, best_vx=result.best_vx.ravel(),
-            best_vy=result.best_vy.ravel(),
-            best_power_dbm=result.best_power_dbm.ravel(),
-            probe_count_per_point=result.probe_count_per_point,
-            duration_s_per_point=result.duration_s_per_point,
-            strategy=result.strategy)
-
-    def full_sweep_multi(self, backend, axis: str, values,
-                         step_v: float = 1.0) -> MultiAxisSweepResult:
-        """Exhaustive scan at every point of one sweep axis at once.
-
-        Wrapper over :meth:`full_sweep_grid` with a one-axis grid.
-        """
-        values = np.asarray(values, dtype=float).ravel()
-        result = self.full_sweep_grid(
-            backend, ProbeGrid.product(**{axis: values}), step_v=step_v)
-        return self._as_multi_result(result, axis, values)
-
-    def coarse_to_fine_sweep_multi(self, backend, axis: str,
-                                   values) -> MultiAxisSweepResult:
-        """Paper Algorithm 1 at every point of one sweep axis at once.
-
-        Wrapper over :meth:`coarse_to_fine_sweep_grid` with a one-axis
-        grid.
-        """
-        values = np.asarray(values, dtype=float).ravel()
-        result = self.coarse_to_fine_sweep_grid(
-            backend, ProbeGrid.product(**{axis: values}))
-        return self._as_multi_result(result, axis, values)
-
-    def optimize_multi(self, backend, axis: str, values,
-                       exhaustive: bool = False,
-                       step_v: float = 1.0) -> MultiAxisSweepResult:
-        """Run the configured search strategy over a whole sweep axis."""
-        if exhaustive:
-            return self.full_sweep_multi(backend, axis, values, step_v=step_v)
-        return self.coarse_to_fine_sweep_multi(backend, axis, values)
-
-    # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #
-    def optimize(self, measure: MeasureSource,
-                 exhaustive: bool = False,
+    def optimize(self, backend, exhaustive: bool = False,
                  step_v: float = 1.0) -> SweepResult:
         """Run the configured search strategy."""
-        backend = _as_measurement_backend(measure)
         if exhaustive:
             return self.full_sweep(backend, step_v=step_v)
         return self.coarse_to_fine_sweep(backend)
@@ -568,12 +449,9 @@ class CentralizedController:
 
 
 __all__ = [
-    "MeasureCallback",
-    "MeasureSource",
     "vectorized_grid_max",
     "VoltageSweepConfig",
     "GridSweepResult",
-    "MultiAxisSweepResult",
     "SweepSample",
     "SweepResult",
     "CentralizedController",

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import DeploymentMode, LinkConfiguration, WirelessLink
 from repro.core.controller import (
     CentralizedController,
@@ -41,34 +42,29 @@ from repro.metasurface.surface import SurfaceMode
 class _SupplyMeasurementBackend:
     """Measurement backend that keeps the supply/rotator in the loop.
 
-    Every probe — scalar or batched — programs the power supply (which
+    Every probe programs the power supply once per bias pair (which
     advances the simulated clock and quantises the bias pair through the
     rotator) exactly as the sequential hardware would, but the link
-    physics for a batch is evaluated in one vectorized pass over the
-    applied voltages.
+    physics for a bias-only grid is evaluated in one vectorized pass
+    over the applied voltages.
     """
 
     def __init__(self, system: "LlamaSystem"):
         self._system = system
 
-    def measure(self, vx: float, vy: float) -> float:
-        """Program the supply and report the receiver's power (dBm)."""
-        return self._system._measure(vx, vy)
-
-    def measure_batch(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    def measure_grid(self, grid: ProbeGrid) -> np.ndarray:
         """Program the supply per probe; evaluate the physics in one pass."""
         system = self._system
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        vx_b, vy_b = np.broadcast_arrays(vx, vy)
-        applied_x = np.empty(vx_b.size, dtype=float)
-        applied_y = np.empty(vy_b.size, dtype=float)
-        for index, (a, b) in enumerate(zip(vx_b.ravel(), vy_b.ravel())):
+        vx, vy = grid.bias_voltages()
+        applied_x = np.empty(vx.size, dtype=float)
+        applied_y = np.empty(vy.size, dtype=float)
+        for index, (a, b) in enumerate(zip(vx.ravel(), vy.ravel())):
             system.supply.set_bias_pair(float(a), float(b))
             applied_x[index], applied_y[index] = system.rotator.bias_voltages
-        system._measure_count += vx_b.size
-        powers = system.link.received_power_dbm_batch(applied_x, applied_y)
-        return powers.reshape(vx_b.shape)
+        system._measure_count += vx.size
+        powers = system.link.evaluate_grid(
+            ProbeGrid.aligned(vx=applied_x, vy=applied_y))
+        return powers.reshape(grid.shape)
 
 
 @dataclass(frozen=True)
@@ -133,13 +129,6 @@ class LlamaSystem:
     # ------------------------------------------------------------------ #
     def _apply_voltages(self, vx: float, vy: float) -> None:
         self.rotator.set_bias_voltages(vx, vy)
-
-    def _measure(self, vx: float, vy: float) -> float:
-        """Program the supply and report the receiver's power (dBm)."""
-        self.supply.set_bias_pair(vx, vy)
-        applied_vx, applied_vy = self.rotator.bias_voltages
-        self._measure_count += 1
-        return self.link.received_power_dbm(applied_vx, applied_vy)
 
     # ------------------------------------------------------------------ #
     # Public operations

@@ -19,42 +19,28 @@ measurement backend (see :mod:`repro.api.backend`): the voltage sweeps
 of step 2 are issued as batched probes at a fixed orientation, and each
 probed orientation's link is built once and cached (via
 :class:`repro.api.OrientationBackend`) instead of being reconstructed
-per probe.  Legacy ``measure(orientation_deg, vx, vy)`` callables are
-still accepted (wrapped with a ``DeprecationWarning``), so recorded
-traces and turntable hardware keep working.
+per probe.  Recorded traces and turntable hardware plug in as a
+scalar ``measure(orientation_deg, vx, vy)`` callable wrapped in
+:class:`repro.api.CallableOrientationBackend`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.controller import CentralizedController, VoltageSweepConfig
 
-OrientationMeasureCallback = Callable[[float, float, float], float]
 
-#: Accepted everywhere the estimator measures: an orientation-aware
-#: backend, or a legacy scalar callable (deprecated).
-OrientationMeasureSource = Union["OrientationMeasurementBackend",
-                                 OrientationMeasureCallback]
-
-
-def _coerce_orientation_backend(measure):
-    """Coerce a backend-or-callable argument, warning on the legacy path."""
-    from repro.api.backend import as_orientation_backend
-    backend = as_orientation_backend(measure)
-    if backend is not measure:
-        warnings.warn(
-            "passing a bare measure(orientation_deg, vx, vy) callable to "
-            "RotationAngleEstimator is deprecated; pass a "
-            "repro.api.OrientationMeasurementBackend (e.g. OrientationBackend "
-            "over a link, or CallableOrientationBackend to wrap this "
-            "callable)",
-            DeprecationWarning, stacklevel=3)
-    return backend
+def _require_orientation_backend(backend) -> None:
+    """Reject anything that is not an orientation-aware backend."""
+    if not (hasattr(backend, "measure") and hasattr(backend, "measure_batch")):
+        raise TypeError(
+            f"expected a repro.api.OrientationMeasurementBackend, got "
+            f"{type(backend).__name__}; wrap a scalar measure(orientation_deg,"
+            f" vx, vy) callable in repro.api.CallableOrientationBackend")
 
 
 @dataclass(frozen=True)
@@ -98,17 +84,15 @@ class RotationAngleEstimator:
     # ------------------------------------------------------------------ #
     # Step helpers
     # ------------------------------------------------------------------ #
-    def find_best_orientation(self, measure: OrientationMeasureSource,
-                              vx: float, vy: float) -> float:
+    def find_best_orientation(self, backend, vx: float, vy: float) -> float:
         """Rotate the receiver through 180 degrees; return the best angle."""
-        backend = _coerce_orientation_backend(measure)
+        _require_orientation_backend(backend)
         orientations = np.arange(0.0, 180.0, self.orientation_step_deg)
         powers = [backend.measure(float(angle), vx, vy)
                   for angle in orientations]
         return float(orientations[int(np.argmax(powers))])
 
-    def find_extreme_voltages(self, measure: OrientationMeasureSource,
-                              orientation_deg: float,
+    def find_extreme_voltages(self, backend, orientation_deg: float,
                               exhaustive: bool = False,
                               step_v: float = 2.0) -> Tuple[Tuple[float, float],
                                                             Tuple[float, float]]:
@@ -118,11 +102,10 @@ class RotationAngleEstimator:
         backend, so the controller issues batched probes.
         """
         from repro.api.backend import FixedOrientationBackend
-        backend = FixedOrientationBackend(_coerce_orientation_backend(measure),
-                                          orientation_deg)
-        result = self.controller.optimize(backend,
-                                          exhaustive=exhaustive,
-                                          step_v=step_v)
+        _require_orientation_backend(backend)
+        result = self.controller.optimize(
+            FixedOrientationBackend(backend, orientation_deg),
+            exhaustive=exhaustive, step_v=step_v)
         samples = sorted(result.samples, key=lambda sample: sample.power_dbm)
         weakest = samples[0]
         strongest = samples[-1]
@@ -131,10 +114,9 @@ class RotationAngleEstimator:
     # ------------------------------------------------------------------ #
     # Full procedure
     # ------------------------------------------------------------------ #
-    def estimate(self, measure: OrientationMeasureSource,
+    def estimate(self, backend,
                  exhaustive_voltage_sweep: bool = False) -> RotationEstimate:
         """Run steps 1-3 and return the rotation-angle estimate."""
-        backend = _coerce_orientation_backend(measure)
         ref_vx, ref_vy = self.reference_voltages
         # Step 1: align the receiver with the incoming polarization.
         theta_0 = self.find_best_orientation(backend, ref_vx, ref_vy)
@@ -176,8 +158,6 @@ def power_slope_per_degree(orientations_deg: Sequence[float],
 
 
 __all__ = [
-    "OrientationMeasureCallback",
-    "OrientationMeasureSource",
     "RotationEstimate",
     "RotationAngleEstimator",
     "power_slope_per_degree",

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api.backend import LinkBackend
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import LinkConfiguration, WirelessLink
 from repro.core.controller import CentralizedController, VoltageSweepConfig
 
@@ -304,10 +305,11 @@ class TrackingController:
         # (tracked link) and one for the full baseline trace.
         powers_with = np.empty(len(times))
         for start, stop, (vx, vy) in segments:
-            powers_with[start:stop] = self._base_link.received_power_dbm_sweep(
-                "rx_orientation", orientations[start:stop], vx=vx, vy=vy)
-        powers_without = self._base_baseline.received_power_dbm_sweep(
-            "rx_orientation", orientations)
+            powers_with[start:stop] = self._base_link.evaluate_grid(
+                ProbeGrid.aligned(rx_orientation=orientations[start:stop],
+                                  vx=vx, vy=vy))
+        powers_without = self._base_baseline.evaluate_grid(
+            ProbeGrid.aligned(rx_orientation=orientations))
         samples = tuple(TrackingSample(
             time_s=float(time_s),
             orientation_deg=float(orientation),

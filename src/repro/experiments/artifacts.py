@@ -12,7 +12,7 @@ those payloads one JSON representation:
   reconstructed field by field.
 * :func:`payload_equal` — recursive equality with a numeric tolerance
   (NaNs compare equal to NaNs), the comparison the round-trip tests and
-  the legacy-parity acceptance check use.
+  the artifact-parity acceptance check use.
 
 Only ``repro``'s own result types are reconstructed: :func:`decode`
 refuses to import classes from other top-level packages, so a JSON file

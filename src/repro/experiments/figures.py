@@ -8,30 +8,29 @@ the result's shape.  The registry (``python -m repro.experiments list``)
 enumerates them; :class:`~repro.experiments.runner.Runner` executes them
 with overrides and caching.
 
-The historical ``figureN_*`` functions remain as thin shims delegating
-to the registry (same payload objects, same cache), so existing callers
-keep working unchanged.
+Run one with ``run_experiment(name, **overrides).payload`` (or
+``python -m repro.experiments run <name>``).
 
-Index (registry name — legacy function):
+Index (registry name — paper figure or table):
 
-* ``fig02``          — :func:`figure2_mismatch_impact`       (Fig. 2a/2b)
-* ``fig08_10``       — :func:`figure8_to_10_material_designs` (Figs. 8-10)
-* ``fig11``          — :func:`figure11_voltage_efficiency`   (Fig. 11)
-* ``table1``         — :func:`table1_rotation_degrees`       (Table 1)
-* ``fig12``          — :func:`figure12_rotation_estimation`  (Fig. 12)
-* ``fig15``          — :func:`figure15_voltage_heatmaps`     (Fig. 15a-h)
-* ``fig16``          — :func:`figure16_transmissive_gain`    (Fig. 16)
-* ``fig17``          — :func:`figure17_frequency_sweep`      (Fig. 17)
-* ``fig18_19``       — :func:`figure18_19_txpower_capacity`  (Figs. 18, 19)
-* ``fig20``          — :func:`figure20_iot_device_pdf`       (Fig. 20)
-* ``iot_families``   — :func:`iot_device_families`  (Fig. 20 x 3 familes)
-* ``fig21``          — :func:`figure21_reflective_heatmaps`  (Fig. 21)
-* ``fig22``          — :func:`figure22_reflective_gain`      (Fig. 22)
-* ``fig23``          — :func:`figure23_respiration_sensing`  (Fig. 23)
-* ``gain_surface``   — :func:`gain_surface_frequency_distance`
-* ``coverage_map``   — :func:`coverage_map_txpower_distance`
-* ``sec7_scheduling``— :func:`deployment_scheduling_comparison`
-* ``sec7_access``    — :func:`deployment_access_isolation`
+* ``fig02``           — Fig. 2a/2b, polarization-mismatch RSSI PDFs
+* ``fig08_10``        — Figs. 8-10, S21 efficiency of three designs
+* ``fig11``           — Fig. 11, efficiency vs bias-voltage combination
+* ``table1``          — Table 1, simulated rotation vs (Vx, Vy)
+* ``fig12``           — Fig. 12, rotation-angle estimation
+* ``fig15``           — Fig. 15a-h, transmissive (Vx, Vy) heatmaps
+* ``fig16``           — Fig. 16, transmissive gain vs distance
+* ``fig17``           — Fig. 17, gain across 2.40-2.50 GHz
+* ``fig18_19``        — Figs. 18-19, capacity vs transmit power
+* ``fig20``           — Fig. 20, ESP8266 Wi-Fi RSSI PDFs
+* ``iot_families``    — Fig. 20 across Wi-Fi, BLE and Zigbee
+* ``fig21``           — Fig. 21, reflective (Vx, Vy) heatmaps
+* ``fig22``           — Fig. 22, reflective power and capacity
+* ``fig23``           — Fig. 23, respiration sensing
+* ``gain_surface``    — joint frequency x distance gain surface
+* ``coverage_map``    — joint tx-power x distance coverage map
+* ``sec7_scheduling`` — Sec. 7 TDMA scheduling strategies
+* ``sec7_access``     — Sec. 7 polarization access isolation
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from repro.experiments.reporting import (
     format_heatmap,
     format_table,
 )
-from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     IOT_SCENARIOS,
     ReflectiveScenario,
@@ -177,16 +175,6 @@ def _run_fig02(sample_count: int, seed: int) -> Dict[str, MismatchImpactResult]:
                                           seed + 3),
     )
     return results
-
-
-def figure2_mismatch_impact(sample_count: int = 200,
-                            seed: int = 2021) -> Dict[str, MismatchImpactResult]:
-    """Fig. 2: matched vs mismatched RSSI PDFs for Wi-Fi and BLE links.
-
-    Legacy shim over the ``fig02`` registry experiment.
-    """
-    return run_experiment("fig02", sample_count=sample_count,
-                          seed=seed).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -315,15 +303,6 @@ def _run_fig08_10(frequency_count: int) -> Dict[str, EfficiencyCurve]:
     }
 
 
-def figure8_to_10_material_designs(
-        frequency_count: int = 81) -> Dict[str, EfficiencyCurve]:
-    """Figs. 8-10: S21 efficiency of the three substrate/geometry designs.
-
-    Legacy shim over the ``fig08_10`` registry experiment.
-    """
-    return run_experiment("fig08_10", frequency_count=frequency_count).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 11 — efficiency vs frequency under different bias voltages
 # ---------------------------------------------------------------------- #
@@ -396,17 +375,6 @@ def _run_fig11(vx: float, vy_v: Tuple[float, ...],
             for f in frequencies)
     return VoltageEfficiencyResult(vx=vx, frequencies_hz=frequencies,
                                    curves_db=curves)
-
-
-def figure11_voltage_efficiency(vx: float = 8.0,
-                                vy_values: Sequence[float] = (2, 3, 4, 5, 6, 10, 15),
-                                frequency_count: int = 41) -> VoltageEfficiencyResult:
-    """Fig. 11: S21 efficiency under different bias-voltage combinations.
-
-    Legacy shim over the ``fig11`` registry experiment.
-    """
-    return run_experiment("fig11", vx=vx, vy_v=tuple(vy_values),
-                          frequency_count=frequency_count).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -486,17 +454,6 @@ def _run_table1(voltage_v: Tuple[float, ...],
                                rotation_deg=rotation)
 
 
-def table1_rotation_degrees(
-        voltages_v: Sequence[float] = TABLE1_VOLTAGES_V,
-        frequency_hz: float = DEFAULT_CENTER_FREQUENCY_HZ) -> RotationTableResult:
-    """Table 1: simulated polarization rotation vs (Vx, Vy).
-
-    Legacy shim over the ``table1`` registry experiment.
-    """
-    return run_experiment("table1", voltage_v=tuple(voltages_v),
-                          frequency_hz=frequency_hz).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 12 — rotation-angle estimation procedure
 # ---------------------------------------------------------------------- #
@@ -555,7 +512,7 @@ def _run_fig12(distance_m: float) -> RotationEstimationResult:
     orientations = np.arange(0.0, 91.0, 15.0)
     baseline = WirelessLink(scenario.configuration().without_surface())
     powers = dbm_to_milliwatts(
-        baseline.received_power_dbm_sweep("rx_orientation", orientations))
+        baseline.evaluate_grid(ProbeGrid.aligned(rx_orientation=orientations)))
     slope = np.polyfit(orientations, powers, 1)[0]
     return RotationEstimationResult(
         reference_orientation_deg=estimate.reference_orientation_deg,
@@ -563,14 +520,6 @@ def _run_fig12(distance_m: float) -> RotationEstimationResult:
         max_rotation_deg=estimate.max_rotation_deg,
         power_slope_sign=float(np.sign(slope)),
     )
-
-
-def figure12_rotation_estimation(distance_m: float = 0.42) -> RotationEstimationResult:
-    """Fig. 12: estimate the min/max rotation angle from power sweeps.
-
-    Legacy shim over the ``fig12`` registry experiment.
-    """
-    return run_experiment("fig12", distance_m=distance_m).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -671,17 +620,6 @@ def _run_fig15(distance_cm: Tuple[float, ...],
                           rotation_ranges_deg=rotation_ranges)
 
 
-def figure15_voltage_heatmaps(
-        distances_cm: Sequence[float] = TRANSMISSIVE_DISTANCES_CM,
-        voltage_step_v: float = 5.0) -> Figure15Result:
-    """Fig. 15: received-power heatmaps vs (Vx, Vy) at each Tx-Rx distance.
-
-    Legacy shim over the ``fig15`` registry experiment.
-    """
-    return run_experiment("fig15", distance_cm=tuple(distances_cm),
-                          voltage_step_v=voltage_step_v).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 16 — transmissive received power with/without the surface
 # ---------------------------------------------------------------------- #
@@ -759,17 +697,6 @@ def _run_fig16(distance_cm: Tuple[float, ...],
     )
 
 
-def figure16_transmissive_gain(
-        distances_cm: Sequence[float] = TRANSMISSIVE_DISTANCES_CM,
-        exhaustive: bool = False) -> GainVsDistanceResult:
-    """Fig. 16: transmissive received power with/without the metasurface.
-
-    Legacy shim over the ``fig16`` registry experiment.
-    """
-    return run_experiment("fig16", distance_cm=tuple(distances_cm),
-                          exhaustive=exhaustive).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 17 — received power vs operating frequency
 # ---------------------------------------------------------------------- #
@@ -840,21 +767,6 @@ def _run_fig17(frequency_hz: Tuple[float, ...],
         power_with_dbm=tuple(point.power_with_dbm for point in points),
         power_without_dbm=tuple(point.power_without_dbm for point in points),
     )
-
-
-def figure17_frequency_sweep(
-        frequencies_hz: Optional[Sequence[float]] = None,
-        distance_m: float = 0.42) -> FrequencySweepResult:
-    """Fig. 17: power improvement across 2.40-2.50 GHz.
-
-    Legacy shim over the ``fig17`` registry experiment.
-    """
-    if frequencies_hz is None:
-        frequencies_hz = FIG17_FREQUENCIES_HZ
-    return run_experiment("fig17",
-                          frequency_hz=tuple(float(f)
-                                             for f in frequencies_hz),
-                          distance_m=distance_m).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -935,13 +847,13 @@ def _capacity_vs_power(antenna_kind: str, absorber: bool,
     receiver = SimulatedReceiver(link, seed=seed)
     controller = CentralizedController(
         VoltageSweepConfig(iterations=2, switches_per_axis=5))
-    sweep = controller.coarse_to_fine_sweep_multi(
+    sweep = controller.coarse_to_fine_sweep_grid(
         ReceiverSweepBackend(receiver, duration_s=0.0002),
-        "tx_power", tx_powers_dbm)
-    achieved_powers = link.received_power_dbm_sweep(
-        "tx_power", tx_powers_dbm, vx=sweep.best_vx, vy=sweep.best_vy)
-    baseline_powers = baseline_link.received_power_dbm_sweep(
-        "tx_power", tx_powers_dbm)
+        ProbeGrid.product(tx_power=tx_powers_dbm))
+    achieved_powers = link.evaluate_grid(ProbeGrid.aligned(
+        tx_power=tx_powers_dbm, vx=sweep.best_vx, vy=sweep.best_vy))
+    baseline_powers = baseline_link.evaluate_grid(
+        ProbeGrid.aligned(tx_power=tx_powers_dbm))
     efficiency_with = spectral_efficiency_from_powers(achieved_powers, noise)
     efficiency_without = spectral_efficiency_from_powers(baseline_powers,
                                                          noise)
@@ -1027,20 +939,6 @@ def _run_fig18_19(tx_power_mw: Tuple[float, ...],
         "fig19b_directional_multipath": _capacity_vs_power(
             "directional", False, tx_power_mw, distance_m),
     }
-
-
-def figure18_19_txpower_capacity(
-        tx_powers_mw: Sequence[float] = FIG18_19_TX_POWERS_MW,
-        distance_m: float = 0.42) -> Dict[str, CapacityVsPowerResult]:
-    """Figs. 18 and 19: capacity vs transmit power.
-
-    Returns four series: omni/directional antennas in the absorber-covered
-    chamber (Fig. 18a/b) and in the multipath-rich laboratory
-    (Fig. 19a/b).  Legacy shim over the ``fig18_19`` registry experiment.
-    """
-    return run_experiment("fig18_19",
-                          tx_power_mw=tuple(float(p) for p in tx_powers_mw),
-                          distance_m=distance_m).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1143,17 +1041,6 @@ def _run_fig20(sample_count: int, distance_m: float,
     return _device_pdf(with_config, without_config, sample_count, seed)
 
 
-def figure20_iot_device_pdf(sample_count: int = 200,
-                            distance_m: float = 3.0,
-                            seed: int = 2021) -> IoTDeviceResult:
-    """Fig. 20: ESP8266 Wi-Fi link RSSI with/without the metasurface.
-
-    Legacy shim over the ``fig20`` registry experiment.
-    """
-    return run_experiment("fig20", sample_count=sample_count,
-                          distance_m=distance_m, seed=seed).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 20 generalised — all three commodity IoT device families
 # ---------------------------------------------------------------------- #
@@ -1198,17 +1085,6 @@ def _run_iot_families(sample_count: int,
         results[family] = _device_pdf(with_config, without_config,
                                       sample_count, seed)
     return results
-
-
-def iot_device_families(sample_count: int = 150,
-                        seed: int = 2021) -> Dict[str, IoTDeviceResult]:
-    """Fig. 20 extended to the Wi-Fi, BLE and Zigbee device families.
-
-    Legacy-style entry point over the ``iot_families`` registry
-    experiment.
-    """
-    return run_experiment("iot_families", sample_count=sample_count,
-                          seed=seed).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1262,17 +1138,6 @@ def _run_fig21(distance_cm: Tuple[float, ...],
         heatmaps.append(HeatmapResult(distance_cm=float(distance),
                                       grid_dbm=grid))
     return tuple(heatmaps)
-
-
-def figure21_reflective_heatmaps(
-        distances_cm: Sequence[float] = REFLECTIVE_DISTANCES_CM,
-        voltage_step_v: float = 5.0) -> Tuple[HeatmapResult, ...]:
-    """Fig. 21: reflective received-power heatmaps vs Tx-surface distance.
-
-    Legacy shim over the ``fig21`` registry experiment.
-    """
-    return run_experiment("fig21", distance_cm=tuple(distances_cm),
-                          voltage_step_v=voltage_step_v).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1366,17 +1231,6 @@ def _run_fig22(distance_cm: Tuple[float, ...],
         efficiency_with=tuple(float(e) for e in eff_with),
         efficiency_without=tuple(float(e) for e in eff_without),
     )
-
-
-def figure22_reflective_gain(
-        distances_cm: Sequence[float] = REFLECTIVE_DISTANCES_CM,
-        exhaustive: bool = False) -> ReflectiveGainResult:
-    """Fig. 22: reflective power/capacity with and without the surface.
-
-    Legacy shim over the ``fig22`` registry experiment.
-    """
-    return run_experiment("fig22", distance_cm=tuple(distances_cm),
-                          exhaustive=exhaustive).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1476,24 +1330,6 @@ def _run_gain_surface(frequency_hz: Tuple[float, ...],
         best_vx=comparison.best_vx,
         best_vy=comparison.best_vy,
     )
-
-
-def gain_surface_frequency_distance(
-        frequencies_hz: Optional[Sequence[float]] = None,
-        distances_m: Optional[Sequence[float]] = None) -> GainSurfaceResult:
-    """Joint frequency x distance gain surface (transmissive layout).
-
-    Legacy shim over the ``gain_surface`` registry experiment.
-    """
-    if frequencies_hz is None:
-        frequencies_hz = GAIN_SURFACE_FREQUENCIES_HZ
-    if distances_m is None:
-        distances_m = GAIN_SURFACE_DISTANCES_M
-    return run_experiment(
-        "gain_surface",
-        frequency_hz=tuple(float(f) for f in np.asarray(frequencies_hz).ravel()),
-        distance_m=tuple(float(d) for d in np.asarray(distances_m).ravel()),
-    ).payload
 
 
 @dataclass(frozen=True)
@@ -1621,30 +1457,6 @@ def _run_coverage_map(tx_power_dbm: Tuple[float, ...],
     )
 
 
-def coverage_map_txpower_distance(
-        tx_powers_dbm: Optional[Sequence[float]] = None,
-        distances_m: Optional[Sequence[float]] = None,
-        threshold_bps_hz: float = 2.0,
-        antenna_kind: str = "directional",
-        absorber: bool = True) -> CoverageMapResult:
-    """Joint tx-power x distance coverage map (transmissive layout).
-
-    Legacy shim over the ``coverage_map`` registry experiment.
-    """
-    if tx_powers_dbm is None:
-        tx_powers_dbm = COVERAGE_MAP_TX_POWERS_DBM
-    if distances_m is None:
-        distances_m = COVERAGE_MAP_DISTANCES_M
-    return run_experiment(
-        "coverage_map",
-        tx_power_dbm=tuple(float(p) for p in np.asarray(tx_powers_dbm).ravel()),
-        distance_m=tuple(float(d) for d in np.asarray(distances_m).ravel()),
-        threshold_bps_hz=threshold_bps_hz,
-        antenna_kind=antenna_kind,
-        absorber=absorber,
-    ).payload
-
-
 # ---------------------------------------------------------------------- #
 # Fig. 23 — respiration sensing at low transmit power
 # ---------------------------------------------------------------------- #
@@ -1719,17 +1531,6 @@ def _run_fig23(tx_power_mw: float, duration_s: float,
         trace_swing_with_db=trace_with.peak_to_peak_db,
         trace_swing_without_db=trace_without.peak_to_peak_db,
     )
-
-
-def figure23_respiration_sensing(tx_power_mw: float = 5.0,
-                                 duration_s: float = 60.0,
-                                 seed: int = 11) -> RespirationSensingResult:
-    """Fig. 23: respiration sensing at 5 mW with/without the metasurface.
-
-    Legacy shim over the ``fig23`` registry experiment.
-    """
-    return run_experiment("fig23", tx_power_mw=tx_power_mw,
-                          duration_s=duration_s, seed=seed).payload
 
 
 # ---------------------------------------------------------------------- #
@@ -1853,31 +1654,6 @@ def _run_sec7_scheduling(station_count: int, seed: int,
                                   orientation_tolerance_deg)
 
 
-def deployment_scheduling_comparison(
-        spec: Optional["FleetSpec"] = None,
-        epoch_duration_s: float = 300.0,
-        bias_search_step_v: float = 5.0,
-        orientation_tolerance_deg: float = 20.0,
-        station_count: int = 8,
-        seed: int = 42) -> DeploymentSchedulingResult:
-    """Sec. 7 deployment comparison: one epoch of every strategy.
-
-    Legacy shim over the ``sec7_scheduling`` registry experiment.  When
-    an explicit ``spec`` is given the comparison runs directly on it
-    (fleet specs are richer than the registry's office-fleet schema);
-    otherwise the registry's reproducible office fleet is used.
-    """
-    if spec is not None:
-        return _scheduling_comparison(spec, epoch_duration_s,
-                                      bias_search_step_v,
-                                      orientation_tolerance_deg)
-    return run_experiment(
-        "sec7_scheduling", station_count=station_count, seed=seed,
-        epoch_duration_s=epoch_duration_s,
-        bias_search_step_v=bias_search_step_v,
-        orientation_tolerance_deg=orientation_tolerance_deg).payload
-
-
 @dataclass(frozen=True)
 class AccessIsolationResult:
     """Access-control isolation achieved for every ordered station pair."""
@@ -1970,23 +1746,6 @@ def _run_sec7_access(station_count: int, seed: int,
     return _access_isolation(spec, step_v)
 
 
-def deployment_access_isolation(
-        spec: Optional["FleetSpec"] = None,
-        step_v: float = 5.0,
-        station_count: int = 4,
-        seed: int = 42) -> AccessIsolationResult:
-    """Access-control sweep over every ordered pair of fleet stations.
-
-    Legacy shim over the ``sec7_access`` registry experiment; explicit
-    ``spec`` objects run directly (see
-    :func:`deployment_scheduling_comparison`).
-    """
-    if spec is not None:
-        return _access_isolation(spec, step_v)
-    return run_experiment("sec7_access", station_count=station_count,
-                          seed=seed, step_v=step_v).payload
-
-
 __all__ = [
     "TABLE1_VOLTAGES_V",
     "TRANSMISSIVE_DISTANCES_CM",
@@ -1998,38 +1757,20 @@ __all__ = [
     "COVERAGE_MAP_TX_POWERS_DBM",
     "COVERAGE_MAP_DISTANCES_M",
     "MismatchImpactResult",
-    "figure2_mismatch_impact",
     "EfficiencyCurve",
-    "figure8_to_10_material_designs",
     "VoltageEfficiencyResult",
-    "figure11_voltage_efficiency",
     "RotationTableResult",
-    "table1_rotation_degrees",
     "RotationEstimationResult",
-    "figure12_rotation_estimation",
     "HeatmapResult",
     "Figure15Result",
-    "figure15_voltage_heatmaps",
     "GainVsDistanceResult",
-    "figure16_transmissive_gain",
     "FrequencySweepResult",
-    "figure17_frequency_sweep",
     "CapacityVsPowerResult",
-    "figure18_19_txpower_capacity",
     "IoTDeviceResult",
-    "figure20_iot_device_pdf",
-    "iot_device_families",
-    "figure21_reflective_heatmaps",
     "ReflectiveGainResult",
-    "figure22_reflective_gain",
     "GainSurfaceResult",
-    "gain_surface_frequency_distance",
     "CoverageMapResult",
-    "coverage_map_txpower_distance",
     "RespirationSensingResult",
-    "figure23_respiration_sensing",
     "DeploymentSchedulingResult",
-    "deployment_scheduling_comparison",
     "AccessIsolationResult",
-    "deployment_access_isolation",
 ]

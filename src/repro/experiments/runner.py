@@ -7,8 +7,8 @@ cache: a per-instance in-memory dict in front of an optional persistent
 distinct ``(experiment, resolved-parameters, code fingerprint)``), so
 ``run_many``/``run_all`` never recompute a result two entry points
 share — across processes and across sessions when a store is attached
-— and the legacy ``figureN_*`` shims, which delegate here, hit the
-same cache as registry runs.  ``run_all(workers=N)`` delegates to the
+— and module-level :func:`run_experiment` calls share one default
+runner's cache.  ``run_all(workers=N)`` delegates to the
 sharded multiprocess executor in :mod:`repro.experiments.parallel`;
 ``workers`` absent/0/1 is the exact serial identity path.
 
@@ -291,7 +291,7 @@ _DEFAULT_RUNNER: Optional[Runner] = None
 
 
 def default_runner() -> Runner:
-    """The process-wide :class:`Runner` the legacy shims delegate to."""
+    """The process-wide :class:`Runner` behind :func:`run_experiment`."""
     global _DEFAULT_RUNNER
     if _DEFAULT_RUNNER is None:
         _DEFAULT_RUNNER = Runner()

@@ -88,11 +88,12 @@ def multi_axis_sweep(axis: str,
 
     ``link`` is evaluated at every axis value (``axis`` is one of
     :data:`repro.channel.link.SWEEP_AXES`) with the surface optimized
-    per point — all points probed together through batched
-    ``measure_sweep`` calls — and compared against ``baseline_link``
-    (default: ``link.baseline()``) in a single vectorized pass.  Per
-    point the optimization grids, first-maximum selection and NaN
-    handling are identical to the scalar :func:`comparison_sweep` path.
+    per point — all points probed together through one aligned
+    ``measure_grid`` probe per refinement iteration — and compared
+    against ``baseline_link`` (default: ``link.baseline()``) in a single
+    vectorized pass.  Per point the optimization grids, first-maximum
+    selection and NaN handling are identical to the scalar
+    :func:`comparison_sweep` path.
 
     ``backend`` overrides the measurement plane the controller probes
     (default: a noiseless :class:`LinkBackend` over ``link``); pass a
@@ -102,11 +103,11 @@ def multi_axis_sweep(axis: str,
     controller = controller or _default_controller()
     backend = backend if backend is not None else LinkBackend(link)
     values = np.asarray(values, dtype=float).ravel()
-    result = controller.optimize_multi(backend, axis, values,
-                                       exhaustive=exhaustive, step_v=step_v)
+    result = controller.optimize_grid(
+        backend, ProbeGrid.product(**{axis: values}),
+        exhaustive=exhaustive, step_v=step_v)
     baseline_link = baseline_link if baseline_link is not None else link.baseline()
-    without = np.asarray(
-        baseline_link.received_power_dbm_sweep(axis, values), dtype=float)
+    without = baseline_link.evaluate_grid(ProbeGrid.aligned(**{axis: values}))
     return [SweepPoint(parameter=float(value),
                        power_with_dbm=float(power),
                        power_without_dbm=float(base),
@@ -269,7 +270,8 @@ def voltage_grid_sweep(link: WirelessLink,
         raise ValueError("v_max must exceed v_min")
     levels = np.arange(v_min, v_max + 0.5 * step_v, step_v)
     vx_grid, vy_grid = np.meshgrid(levels, levels, indexing="ij")
-    powers = link.received_power_dbm_batch(vx_grid.ravel(), vy_grid.ravel())
+    powers = link.evaluate_grid(ProbeGrid.aligned(vx=vx_grid.ravel(),
+                                                  vy=vy_grid.ravel()))
     return {(float(vx), float(vy)): float(power)
             for vx, vy, power in zip(vx_grid.ravel(), vy_grid.ravel(), powers)}
 

@@ -12,14 +12,8 @@ from repro.lint.findings import Severity
 #: Callables whose ``axis`` argument (keyword or an early positional
 #: string) must be a member of ``SWEEP_AXES``.
 AXIS_CALLEES = frozenset({
-    "measure_sweep",
-    "optimize_sweep",
-    "received_power_dbm_sweep",
     "measure_power_dbm_sweep",
     "multi_axis_sweep",
-    "full_sweep_multi",
-    "coarse_to_fine_sweep_multi",
-    "optimize_multi",
 })
 
 #: How many leading positional arguments of an axis callee may carry
@@ -67,7 +61,7 @@ class AxisLiteralRule(Rule):
     """Axis string literals must come from the real axis vocabulary.
 
     Sweep axes are stringly-typed at every API boundary
-    (``measure_sweep("frequency", ...)``,
+    (``multi_axis_sweep("frequency", ...)``,
     ``ProbeGrid.product(distance=...)``, ``axes=("tx_power",)`` in
     experiment specs), so a typo like ``"freqency"`` fails only deep at
     runtime — or worse, silently compares unequal.  The rule resolves

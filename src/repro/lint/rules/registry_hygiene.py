@@ -10,11 +10,8 @@ from repro.lint.base import LintContext, Rule, call_name, register_rule
 from repro.lint.findings import Severity
 
 #: Public callables matching this pattern are figure/table entry points
-#: and must delegate through the registry.
+#: outside the registry.
 _ENTRY_POINT_RE = re.compile(r"^(fig|figure|table)", re.IGNORECASE)
-
-#: The call that marks a public entry point as a registered shim.
-_SHIM_CALLEES = frozenset({"run_experiment"})
 
 
 def _module_uses_registry(tree: ast.Module) -> bool:
@@ -38,9 +35,10 @@ class RegistryHygieneRule(Rule):
     paper's evaluation: CI smoke-runs every registered spec and audits
     scenario/axis/module coverage, so a figure function that bypasses
     the registry silently drops out of both.  In modules that use the
-    registry, the rule requires (a) every *public* ``fig*`` / ``table*``
-    module-level callable to delegate through ``run_experiment`` (a
-    registered shim), and (b) every ``@experiment(...)`` registration
+    registry, the rule flags (a) every *public* ``fig*`` / ``table*``
+    module-level callable that is not itself an ``@experiment``
+    registration — callers reach a figure through its registry name —
+    and requires (b) every ``@experiment(...)`` registration
     to declare non-empty coverage metadata (at least one of
     ``scenarios`` / ``axes`` / ``modules``) and — when the spec has
     parameters — a non-empty ``smoke`` profile so suite-wide smoke runs
@@ -49,8 +47,8 @@ class RegistryHygieneRule(Rule):
 
     rule_id: ClassVar[str] = "RPR004"
     title: ClassVar[str] = ("fig*/table* callables must be registered "
-                            "shims; @experiment must declare coverage + "
-                            "smoke")
+                            "experiments; @experiment must declare "
+                            "coverage + smoke")
     default_severity: ClassVar[Severity] = Severity.ERROR
 
     @classmethod
@@ -65,7 +63,7 @@ class RegistryHygieneRule(Rule):
         return _module_uses_registry(context.tree)
 
     # ------------------------------------------------------------- #
-    # (a) public entry points are registered shims
+    # (a) no public figure/table entry points outside the registry
     # ------------------------------------------------------------- #
     def visit_Module(self, node: ast.Module) -> None:
         for statement in node.body:
@@ -82,16 +80,13 @@ class RegistryHygieneRule(Rule):
                and call_name(decorator) == "experiment"
                for decorator in node.decorator_list):
             return  # the registered implementation itself
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Call) \
-                    and call_name(inner) in _SHIM_CALLEES:
-                return
         self.report(
             node,
-            f"public figure/table callable {node.name!r} does not "
-            "delegate through the experiment registry",
-            suggestion="register the implementation with @experiment and "
-                       "make the public function a run_experiment shim")
+            f"public figure/table callable {node.name!r} is not a "
+            "registered experiment",
+            suggestion="register the implementation (a private _run_* "
+                       "function) with @experiment; callers use "
+                       "run_experiment(name)")
 
     # ------------------------------------------------------------- #
     # (b) @experiment registrations declare coverage + smoke

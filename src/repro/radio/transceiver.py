@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import WirelessLink
 from repro.radio.signal import BasebandSignal, cosine_tone
 from repro.units import db_to_amplitude, dbm_to_milliwatts, milliwatts_to_dbm
@@ -136,9 +137,8 @@ class SimulatedReceiver:
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        raw = np.asarray(
-            self.link.received_power_dbm_sweep(axis, values, vx=vx, vy=vy),
-            dtype=float)
+        raw = self.link.evaluate_grid(
+            ProbeGrid.aligned(**{axis: values}, vx=vx, vy=vy))
         if raw.ndim > 2:
             raise ValueError("sweep probe batches must be at most 2-D "
                              "(axis points, probes)")

@@ -1,15 +1,19 @@
-"""Scalar-vs-batch parity of the vectorized measurement plane.
+"""Scalar-vs-grid parity of the vectorized measurement plane on bias grids.
 
-The acceptance bar for the batched API: ``received_power_dbm_batch``
-must agree with the scalar ``received_power_dbm`` within 1e-9 dB across
+The acceptance bar for the batched API: ``evaluate_grid`` over a
+bias-only :class:`ProbeGrid` must agree within 1e-9 dB with an
+independent scalar reference — a freshly built link (its own field
+caches) probed point by point with ``received_power_dbm`` — across
 random bias grids in every deployment mode.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.api import LinkBackend, ScenarioBuilder
-from repro.channel.link import DeploymentMode
+from repro.api import LinkBackend, ProbeGrid, ScenarioBuilder
+from repro.channel.link import DeploymentMode, WirelessLink
 from repro.experiments.scenarios import (
     ReflectiveScenario,
     TransmissiveScenario,
@@ -24,12 +28,18 @@ def random_bias_grid(seed, count=200):
     return rng.uniform(0.0, 30.0, count), rng.uniform(0.0, 30.0, count)
 
 
+def scalar_reference(link, vx, vy):
+    """Point-by-point powers from a freshly built copy of ``link``."""
+    fresh = WirelessLink(replace(link.configuration))
+    return np.array([fresh.received_power_dbm(float(a), float(b))
+                     for a, b in zip(np.ravel(vx), np.ravel(vy))])
+
+
 def assert_parity(link, seed):
     vx, vy = random_bias_grid(seed)
-    batch = link.received_power_dbm_batch(vx, vy)
-    scalar = np.array([link.received_power_dbm(float(a), float(b))
-                       for a, b in zip(vx, vy)])
-    assert np.max(np.abs(batch - scalar)) < PARITY_TOLERANCE_DB
+    powers = link.evaluate_grid(ProbeGrid.aligned(vx=vx, vy=vy))
+    assert np.max(np.abs(powers - scalar_reference(link, vx, vy))) \
+        < PARITY_TOLERANCE_DB
 
 
 class TestDeploymentModeParity:
@@ -51,7 +61,6 @@ class TestDeploymentModeParity:
 
     def test_commodity_wifi_link(self):
         configuration, _tx, _rx = iot_wifi_scenario(with_surface=True)
-        from repro.channel.link import WirelessLink
         assert_parity(WirelessLink(configuration), seed=6)
 
     @pytest.mark.parametrize("mode", list(DeploymentMode))
@@ -72,39 +81,39 @@ class TestShapesAndBroadcasting:
         link = TransmissiveScenario().link()
         vx, vy = np.meshgrid(np.linspace(0, 30, 7), np.linspace(0, 30, 5),
                              indexing="ij")
-        powers = link.received_power_dbm_batch(vx, vy)
+        powers = link.evaluate_grid(ProbeGrid.aligned(vx=vx, vy=vy))
         assert powers.shape == (7, 5)
 
     def test_scalar_inputs_yield_scalar_shape(self):
         link = TransmissiveScenario().link()
-        power = link.received_power_dbm_batch(10.0, 20.0)
+        power = link.evaluate_grid(ProbeGrid.aligned(vx=10.0, vy=20.0))
         assert np.shape(power) == ()
         assert float(power) == pytest.approx(
-            link.received_power_dbm(10.0, 20.0), abs=PARITY_TOLERANCE_DB)
+            scalar_reference(link, 10.0, 20.0)[0], abs=PARITY_TOLERANCE_DB)
 
     def test_broadcasting_row_against_column(self):
         link = TransmissiveScenario().link()
         vx = np.linspace(0, 30, 4)[:, None]
         vy = np.linspace(0, 30, 3)[None, :]
-        powers = link.received_power_dbm_batch(vx, vy)
+        powers = link.evaluate_grid(ProbeGrid.aligned(vx=vx, vy=vy))
         assert powers.shape == (4, 3)
         assert powers[2, 1] == pytest.approx(
-            link.received_power_dbm(float(vx[2, 0]), float(vy[0, 1])),
+            scalar_reference(link, vx[2, 0], vy[0, 1])[0],
             abs=PARITY_TOLERANCE_DB)
 
     def test_out_of_range_voltages_rejected(self):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError):
-            link.received_power_dbm_batch(np.array([0.0, 31.0]),
-                                          np.array([0.0, 0.0]))
+            link.evaluate_grid(ProbeGrid.aligned(vx=np.array([0.0, 31.0]),
+                                                 vy=np.array([0.0, 0.0])))
 
     def test_nan_voltages_rejected_like_scalar_path(self):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError):
             link.received_power_dbm(float("nan"), 5.0)
         with pytest.raises(ValueError):
-            link.received_power_dbm_batch(np.array([np.nan, 5.0]),
-                                          np.array([5.0, 5.0]))
+            link.evaluate_grid(ProbeGrid.aligned(vx=np.array([np.nan, 5.0]),
+                                                 vy=np.array([5.0, 5.0])))
 
 
 class TestBackendParity:
@@ -112,9 +121,11 @@ class TestBackendParity:
         link = TransmissiveScenario().link()
         backend = LinkBackend(link)
         vx, vy = random_bias_grid(seed=8, count=32)
-        assert np.allclose(backend.measure_batch(vx, vy),
-                           link.received_power_dbm_batch(vx, vy))
-        assert backend.measure(5.0, 25.0) == link.received_power_dbm(5.0, 25.0)
+        powers = backend.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy))
+        assert np.max(np.abs(powers - scalar_reference(link, vx, vy))) \
+            < PARITY_TOLERANCE_DB
+        assert float(backend.measure_grid(ProbeGrid.aligned(
+            vx=5.0, vy=25.0))) == link.received_power_dbm(5.0, 25.0)
 
     def test_builder_session_parity(self):
         session = (ScenarioBuilder()
@@ -123,7 +134,9 @@ class TestBackendParity:
                    .with_surface()
                    .session())
         vx, vy = random_bias_grid(seed=9, count=32)
-        batch = session.measure_batch(vx, vy)
+        batch = session.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy))
         scalar = np.array([session.measure(float(a), float(b))
                            for a, b in zip(vx, vy)])
-        assert np.max(np.abs(batch - scalar)) < PARITY_TOLERANCE_DB
+        reference = scalar_reference(session.link, vx, vy)
+        assert np.max(np.abs(batch - reference)) < PARITY_TOLERANCE_DB
+        assert np.max(np.abs(scalar - reference)) < PARITY_TOLERANCE_DB

@@ -9,12 +9,15 @@ round-tripped specs producing identical ``ScheduleResult``s).
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.api import (
     SCHEDULE_STRATEGIES,
+    AlignedProbeError,
     FleetSession,
     FleetSpec,
     LinkSession,
+    ProbeGrid,
     StationSpec,
 )
 from repro.network.deployment import DenseDeployment, StationPlacement
@@ -60,8 +63,8 @@ class TestStackedParity:
         stacked = fleet.measure_grid(VX_GRID, VY_GRID)
         assert stacked.shape == (fleet.station_count,) + VX_GRID.shape
         for index, name in enumerate(fleet.station_names):
-            looped = looped_session(fleet, name).measure_batch(VX_GRID,
-                                                               VY_GRID)
+            looped = looped_session(fleet, name).measure_grid(
+                ProbeGrid.aligned(vx=VX_GRID, vy=VY_GRID))
             assert np.max(np.abs(stacked[index] - looped)) <= TOLERANCE_DB
 
     def test_measure_grid_scalar_voltages(self, fleet):
@@ -94,6 +97,13 @@ class TestStackedParity:
             assert aligned[index] == pytest.approx(
                 fleet.measure(name, float(vx[index]), float(vy[index])),
                 abs=TOLERANCE_DB)
+
+    def test_aligned_probe_rejects_mismatched_bias_lengths(self, fleet):
+        name = fleet.station_names[0]
+        for method in (fleet.measure_aligned, fleet.probe_aligned):
+            with pytest.raises(AlignedProbeError,
+                               match=r"vx \(2,\), vy \(1,\) for 1 stations"):
+                method(vx=[1.0, 2.0], vy=[1.0], stations=[name])
 
     def test_rate_grid_applies_wifi_table(self, fleet):
         rates = fleet.rate_grid(VX_GRID, VY_GRID)
@@ -145,8 +155,8 @@ class TestStackedSearches:
         def summed_rate(vx_flat, vy_flat):
             utility = np.zeros(vx_flat.shape)
             for name in names:
-                looped = looped_session(fleet, name).measure_batch(vx_flat,
-                                                                   vy_flat)
+                looped = looped_session(fleet, name).measure_grid(
+                    ProbeGrid.aligned(vx=vx_flat, vy=vy_flat))
                 utility += np.asarray(wifi_rate_for_rssi_mbps(looped))
             return utility
 
@@ -318,3 +328,42 @@ class TestSessionConstruction:
         assert fleet.ensemble is fleet.ensemble
         assert fleet.baseline_ensemble is fleet.baseline_ensemble
         assert fleet.ensemble.station_count == fleet.station_count
+
+
+OFFICE = FleetSession(FleetSpec.office(station_count=4))
+
+
+class TestAlignedProbeValidation:
+    """Aligned probes take one bias pair per station, never a broadcast."""
+
+    @given(vx_len=st.integers(0, 6), vy_len=st.integers(0, 6),
+           station_count=st.integers(1, 4),
+           method=st.sampled_from(["measure_aligned", "probe_aligned"]))
+    @settings(max_examples=60, deadline=None)
+    def test_mismatched_lengths_raise_naming_all_three(
+            self, vx_len, vy_len, station_count, method):
+        assume(vx_len != station_count or vy_len != station_count)
+        names = OFFICE.station_names[:station_count]
+        with pytest.raises(AlignedProbeError) as raised:
+            getattr(OFFICE, method)(np.full(vx_len, 5.0),
+                                    np.full(vy_len, 9.0), stations=names)
+        assert isinstance(raised.value, ValueError)
+        assert (f"vx ({vx_len},), vy ({vy_len},) for {station_count} "
+                f"stations") in str(raised.value)
+
+    @given(station_count=st.integers(1, 4),
+           method=st.sampled_from(["measure_aligned", "probe_aligned"]))
+    @settings(max_examples=20, deadline=None)
+    def test_two_dimensional_biases_rejected(self, station_count, method):
+        names = OFFICE.station_names[:station_count]
+        with pytest.raises(AlignedProbeError):
+            getattr(OFFICE, method)(np.full((station_count, 1), 5.0), 9.0,
+                                    stations=names)
+
+    @pytest.mark.parametrize("method", ["measure_aligned", "probe_aligned"])
+    def test_scalar_and_per_station_biases_accepted(self, method):
+        probe = getattr(OFFICE, method)
+        per_station = probe(np.full(4, 5.0), np.full(4, 9.0))
+        shared = probe(5.0, 9.0)
+        assert per_station.shape == shared.shape == (4,)
+        assert np.array_equal(per_station, shared)

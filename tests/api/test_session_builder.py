@@ -1,8 +1,11 @@
 """Tests for the LinkSession facade and the fluent ScenarioBuilder."""
 
+import itertools
+
+import numpy as np
 import pytest
 
-from repro.api import LinkSession, ScenarioBuilder
+from repro.api import LinkSession, ProbeGrid, ScenarioBuilder
 from repro.channel.link import DeploymentMode
 from repro.core.controller import VoltageSweepConfig
 from repro.experiments.scenarios import TransmissiveScenario
@@ -116,11 +119,14 @@ class TestLinkSession:
         assert not baseline.has_surface
         assert baseline.baseline() is baseline
 
-    def test_measure_grid_matches_batch(self, mismatched_session):
-        grid = mismatched_session.measure_grid(step_v=10.0)
-        assert len(grid) == 16
-        for (vx, vy), power in grid.items():
-            assert power == pytest.approx(
+    def test_measure_grid_matches_scalar_probes(self, mismatched_session):
+        levels = np.arange(0.0, 31.0, 10.0)
+        powers = mismatched_session.measure_grid(
+            ProbeGrid.product(vx=levels, vy=levels))
+        assert powers.shape == (4, 4)
+        for (i, vx), (j, vy) in itertools.product(enumerate(levels),
+                                                  repeat=2):
+            assert powers[i, j] == pytest.approx(
                 mismatched_session.measure(vx, vy), abs=1e-9)
 
     def test_with_rx_orientation_cached(self, mismatched_session):

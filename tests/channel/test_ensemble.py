@@ -44,8 +44,11 @@ class TestStackedParity:
         stacked = ensemble.measure_batch(VX_GRID, VY_GRID)
         assert stacked.shape == (4,) + VX_GRID.shape
         for index in range(ensemble.station_count):
-            reference = ensemble.link_for(index).received_power_dbm_batch(
-                VX_GRID, VY_GRID)
+            link = ensemble.link_for(index)
+            reference = np.reshape(
+                [link.received_power_dbm(float(vx), float(vy))
+                 for vx, vy in zip(VX_GRID.ravel(), VY_GRID.ravel())],
+                VX_GRID.shape)
             assert np.max(np.abs(stacked[index] - reference)) <= TOLERANCE_DB
 
     def test_baseline_rows_match_link_for(self):

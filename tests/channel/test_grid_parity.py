@@ -4,9 +4,9 @@ Pins ``WirelessLink.evaluate(grid)`` against nested scalar loops (a
 fresh link per operating point via ``dataclasses.replace``) to
 <= 1e-9 dB across every subset of the sweep axes, both deployment
 modes, both environments, and degenerate 0-d/1-d grids.  Also pins the
-thin views (``received_power_dbm`` / ``_batch`` / ``_sweep``) to the
-engine, the grid-native controller searches to their scalar
-counterparts, and the :class:`ProbeGrid` validation behaviour.
+product and aligned grid layouts and the scalar ``received_power_dbm``
+view to each other, the grid-native controller searches to their
+scalar counterparts, and the :class:`ProbeGrid` validation behaviour.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.api import LinkBackend, LinkSession, ProbeGrid
+from repro.api import CallableBackend, LinkBackend, LinkSession, ProbeGrid
 from repro.channel.grid import GRID_AXES, GridAxis, SWEEP_AXES, VOLTAGE_AXES
 from repro.channel.geometry import LinkGeometry
 from repro.channel.link import DeploymentMode, LinkReport, WirelessLink
@@ -139,12 +139,12 @@ class TestDegenerateGrids:
                 reference.received_power_dbm(float(vx), 8.0),
                 abs=TOLERANCE_DB)
 
-    def test_one_d_voltage_grid_matches_batch(self):
+    def test_one_d_voltage_grid_matches_scalar(self):
         link = ReflectiveScenario().link()
         grid = ProbeGrid.product(vx=VX_VALUES)
-        assert np.allclose(link.evaluate(grid),
-                           link.received_power_dbm_batch(VX_VALUES, 0.0),
-                           atol=0.0, rtol=0.0)
+        assert np.max(np.abs(link.evaluate(grid) -
+                             _nested_scalar_powers(link, grid))) \
+            <= TOLERANCE_DB
 
     def test_empty_axis_yields_empty_result(self):
         link = TransmissiveScenario().link()
@@ -152,25 +152,26 @@ class TestDegenerateGrids:
         assert link.evaluate(grid).shape == (0, VX_VALUES.size)
 
 
-class TestThinViews:
-    """The historical entry points are views over the grid engine."""
+class TestLayoutsAndViews:
+    """Product and aligned layouts, and the scalar view, agree exactly."""
 
-    def test_batch_is_a_bias_only_grid(self):
+    def test_aligned_bias_meshgrid_equals_product_grid(self):
         link = TransmissiveScenario(absorber=False).link()
         vx, vy = np.meshgrid(VX_VALUES, VY_VALUES, indexing="ij")
-        via_views = link.received_power_dbm_batch(vx, vy)
-        via_grid = link.evaluate(ProbeGrid.product(vx=VX_VALUES,
-                                                   vy=VY_VALUES))
-        assert np.array_equal(via_views, via_grid)
+        via_aligned = link.evaluate(ProbeGrid.aligned(vx=vx, vy=vy))
+        via_product = link.evaluate(ProbeGrid.product(vx=VX_VALUES,
+                                                      vy=VY_VALUES))
+        assert np.array_equal(via_aligned, via_product)
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
-    def test_sweep_is_a_one_axis_grid(self, axis):
+    def test_aligned_axis_equals_product_axis(self, axis):
         link = ReflectiveScenario(absorber=False).link()
         values = AXIS_VALUES[axis]
-        via_view = link.received_power_dbm_sweep(axis, values, vx=7.0, vy=22.0)
-        via_grid = link.evaluate(ProbeGrid.product(
+        via_aligned = link.evaluate(ProbeGrid.aligned(
             **{axis: values}, vx=7.0, vy=22.0))
-        assert np.array_equal(via_view, via_grid)
+        via_product = link.evaluate(ProbeGrid.product(
+            **{axis: values}, vx=7.0, vy=22.0))
+        assert np.array_equal(via_aligned, via_product)
 
     def test_scalar_is_a_zero_d_grid(self):
         link = TransmissiveScenario().link()
@@ -300,35 +301,27 @@ class TestGridController:
         assert float(grid_result.best_power_dbm) == pytest.approx(
             scalar.best_power_dbm, abs=TOLERANCE_DB)
 
-    def test_multi_wrappers_match_grid_native(self, controller):
-        link = TransmissiveScenario().link()
-        backend = LinkBackend(link)
-        values = AXIS_VALUES["frequency"]
-        multi = controller.coarse_to_fine_sweep_multi(backend, "frequency",
-                                                      values)
-        grid = controller.coarse_to_fine_sweep_grid(
-            backend, ProbeGrid.product(frequency=values))
-        assert np.array_equal(multi.best_vx, grid.best_vx)
-        assert np.array_equal(multi.best_vy, grid.best_vy)
-        assert np.array_equal(multi.best_power_dbm, grid.best_power_dbm)
-        assert multi.probe_count_per_point == grid.probe_count_per_point
-
     def test_search_grid_must_not_carry_voltage_axes(self, controller):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError, match="controller sweeps the bias"):
             controller.optimize_grid(LinkBackend(link),
                                      ProbeGrid.product(vx=VX_VALUES))
 
-    def test_sweep_only_backend_rejected_for_joint_grids(self, controller):
-        class SweepOnlyBackend:
-            def measure_sweep(self, axis, values, vx, vy):
-                return np.zeros(np.broadcast_shapes(
-                    np.shape(values), np.shape(vx), np.shape(vy)))
-
+    def test_bare_callable_rejected_with_a_typed_error(self, controller):
         grid = ProbeGrid.product(frequency=AXIS_VALUES["frequency"],
                                  tx_power=AXIS_VALUES["tx_power"])
+        with pytest.raises(TypeError, match="CallableBackend"):
+            controller.optimize_grid(lambda vx, vy: 0.0, grid)
         with pytest.raises(TypeError, match="measure_grid"):
-            controller.optimize_grid(SweepOnlyBackend(), grid)
+            controller.optimize(lambda vx, vy: 0.0)
+
+    def test_backend_rejecting_joint_axes_propagates(self, controller):
+        link = TransmissiveScenario().link()
+        grid = ProbeGrid.product(frequency=AXIS_VALUES["frequency"],
+                                 tx_power=AXIS_VALUES["tx_power"])
+        with pytest.raises(TypeError, match="bias-only"):
+            controller.optimize_grid(CallableBackend(link.received_power_dbm),
+                                     grid)
 
     def test_nan_probes_never_selected(self, controller):
         class NaNFirstBackend:
@@ -360,26 +353,13 @@ class TestSessionGridPlane:
         assert powers.shape == grid.shape
         assert np.array_equal(powers, session.link.evaluate(grid))
 
-    def test_measure_grid_keeps_legacy_heatmap_signature(self):
+    def test_measure_is_a_zero_d_grid_probe(self):
         session = LinkSession(TransmissiveScenario().configuration())
-        legacy = session.measure_grid(step_v=15.0)
-        positional = session.measure_grid(15.0)
-        assert legacy == positional
-        assert legacy[(0.0, 0.0)] == pytest.approx(session.measure(0.0, 0.0))
-
-    def test_measure_grid_legacy_positional_and_mixed_calls(self):
-        session = LinkSession(TransmissiveScenario().configuration())
-        keyword = session.measure_grid(step_v=10.0, v_min=0.0, v_max=20.0)
-        assert session.measure_grid(10.0, 0.0, 20.0) == keyword
-        assert session.measure_grid(10.0, v_min=0.0, v_max=20.0) == keyword
-        assert set(keyword) == {(a, b) for a in (0.0, 10.0, 20.0)
-                                for b in (0.0, 10.0, 20.0)}
-        with pytest.raises(TypeError, match="multiple values"):
-            session.measure_grid(10.0, step_v=5.0)
-        with pytest.raises(TypeError, match="at most"):
-            session.measure_grid(10.0, 0.0, 20.0, 30.0)
-        with pytest.raises(TypeError, match="do not apply"):
-            session.measure_grid(ProbeGrid.product(vx=VX_VALUES), step_v=5.0)
+        reference = _scalar_link_at(session.link, {})
+        assert session.measure(7.0, 22.0) == pytest.approx(
+            reference.received_power_dbm(7.0, 22.0), abs=TOLERANCE_DB)
+        assert session.measure(7.0, 22.0) == float(session.measure_grid(
+            ProbeGrid.aligned(vx=7.0, vy=22.0)))
 
     def test_optimize_grid_matches_controller(self):
         session = LinkSession(TransmissiveScenario().configuration())

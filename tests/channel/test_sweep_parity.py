@@ -1,8 +1,9 @@
-"""Parity suite for the multi-axis sweep engine.
+"""Parity suite for single-sweep-axis probe grids.
 
-Pins the vectorized paths — ``WirelessLink.received_power_dbm_sweep``,
-the multi-axis controller searches and the batched noisy receiver —
-against the scalar per-point loops (a fresh link per axis value via
+Pins the vectorized paths — ``WirelessLink.evaluate_grid`` over an
+aligned one-axis :class:`ProbeGrid`, the grid-native controller
+searches and the batched noisy receiver — against the scalar per-point
+loops (a fresh link per axis value via
 ``dataclasses.replace``) to <= 1e-9 dB, across all sweep axes, both
 deployment modes and both environments.  Also pins the caching
 contract (frozen configurations, invalidation-free field caches) and
@@ -20,6 +21,7 @@ from repro.api.backend import (
     LinkBackend,
     ReceiverSweepBackend,
 )
+from repro.channel.grid import ProbeGrid
 from repro.channel.link import (
     SWEEP_AXES,
     DeploymentMode,
@@ -80,8 +82,14 @@ def _scalar_link_at(link, axis, value):
     raise AssertionError(axis)
 
 
+def _sweep(link, axis, values, vx=0.0, vy=0.0):
+    """The engine over one aligned sweep axis (plus bias voltages)."""
+    return link.evaluate_grid(ProbeGrid.aligned(**{axis: values}, vx=vx,
+                                                vy=vy))
+
+
 class TestSweepAxisParity:
-    """received_power_dbm_sweep vs scalar per-point link rebuilds."""
+    """One-axis evaluate_grid vs scalar per-point link rebuilds."""
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     @pytest.mark.parametrize("name,scenario", _scenarios())
@@ -89,8 +97,7 @@ class TestSweepAxisParity:
         link = scenario.link()
         values = AXIS_VALUES[axis]
         for vx, vy in BIAS_PAIRS:
-            vectorized = link.received_power_dbm_sweep(axis, values,
-                                                       vx=vx, vy=vy)
+            vectorized = _sweep(link, axis, values, vx=vx, vy=vy)
             scalar = np.array([
                 _scalar_link_at(link, axis, value).received_power_dbm(vx, vy)
                 for value in values])
@@ -101,7 +108,7 @@ class TestSweepAxisParity:
     def test_baseline_parity(self, axis, name, scenario):
         link = scenario.baseline_link()
         values = AXIS_VALUES[axis]
-        vectorized = link.received_power_dbm_sweep(axis, values)
+        vectorized = _sweep(link, axis, values)
         scalar = np.array([
             _scalar_link_at(link, axis, value).received_power_dbm()
             for value in values])
@@ -112,32 +119,30 @@ class TestSweepAxisParity:
         frequencies = AXIS_VALUES["frequency"]
         levels = np.linspace(0.0, 30.0, 9)
         grid_vx = np.broadcast_to(levels, (frequencies.size, levels.size))
-        vectorized = link.received_power_dbm_sweep(
-            "frequency", frequencies[:, None], vx=grid_vx, vy=levels[::-1])
+        vectorized = _sweep(link, "frequency", frequencies[:, None],
+                            vx=grid_vx, vy=levels[::-1])
         assert vectorized.shape == (frequencies.size, levels.size)
         for i, frequency in enumerate(frequencies):
-            scalar = _scalar_link_at(
-                link, "frequency", frequency).received_power_dbm_batch(
-                    levels, levels[::-1])
+            point_link = _scalar_link_at(link, "frequency", frequency)
+            scalar = np.array([point_link.received_power_dbm(vx, vy)
+                               for vx, vy in zip(levels, levels[::-1])])
             assert np.max(np.abs(vectorized[i] - scalar)) <= TOLERANCE_DB
 
     def test_unknown_axis_rejected(self):
-        link = TransmissiveScenario().link()
-        with pytest.raises(ValueError, match="unknown sweep axis"):
-            link.received_power_dbm_sweep("bandwidth", [1.0])  # repro-lint: disable=RPR003 -- intentionally unknown axis exercising the rejection path
+        with pytest.raises(ValueError, match="unknown grid axis"):
+            ProbeGrid.aligned(bandwidth=[1.0])  # repro-lint: disable=RPR003 -- intentionally unknown axis exercising the rejection path
 
     def test_non_positive_frequency_rejected(self):
         link = TransmissiveScenario().link()
         with pytest.raises(ValueError):
-            link.received_power_dbm_sweep("frequency", [2.4e9, -1.0])
+            _sweep(link, "frequency", [2.4e9, -1.0])
 
-    def test_link_backend_measure_sweep_delegates(self):
+    def test_link_backend_measure_grid_delegates(self):
         link = TransmissiveScenario().link()
-        backend = LinkBackend(link)
-        values = AXIS_VALUES["tx_power"]
-        assert np.array_equal(
-            backend.measure_sweep("tx_power", values, vx=7.0, vy=22.0),
-            link.received_power_dbm_sweep("tx_power", values, vx=7.0, vy=22.0))
+        grid = ProbeGrid.aligned(tx_power=AXIS_VALUES["tx_power"], vx=7.0,
+                                 vy=22.0)
+        assert np.array_equal(LinkBackend(link).measure_grid(grid),
+                              link.evaluate_grid(grid))
 
 
 class TestFieldCaching:
@@ -162,7 +167,8 @@ class TestFieldCaching:
         monkeypatch.setattr(WirelessLink, "_compute_direct_field",
                             counting_direct)
         link.received_power_dbm(7.0, 22.0)
-        link.received_power_dbm_batch(np.arange(0.0, 31.0, 5.0), 10.0)
+        link.evaluate_grid(ProbeGrid.aligned(vx=np.arange(0.0, 31.0, 5.0),
+                                             vy=10.0))
         link.received_power_dbm(0.0, 0.0)
         link.evaluate(3.0, 9.0)
         assert calls["direct"] == 1
@@ -172,18 +178,19 @@ class TestFieldCaching:
         with pytest.raises(AttributeError):
             link.configuration = link.configuration.without_surface()
 
-    def test_scalar_and_batch_agree_after_caching(self):
+    def test_scalar_and_grid_agree_after_caching(self):
         link = TransmissiveScenario(absorber=False).link()
         # Warm the caches through one path, then cross-check the other.
-        batched = link.received_power_dbm_batch(
-            np.array([0.0, 7.0, 30.0]), np.array([0.0, 22.0, 30.0]))
+        batched = link.evaluate_grid(ProbeGrid.aligned(
+            vx=np.array([0.0, 7.0, 30.0]), vy=np.array([0.0, 22.0, 30.0])))
         for i, (vx, vy) in enumerate([(0.0, 0.0), (7.0, 22.0), (30.0, 30.0)]):
             assert batched[i] == pytest.approx(
                 link.received_power_dbm(vx, vy), abs=TOLERANCE_DB)
 
 
-class TestMultiAxisController:
-    """Vectorized Algorithm 1 / exhaustive search vs scalar per-point runs."""
+class TestOneAxisGridController:
+    """Grid-native Algorithm 1 / exhaustive search on one-axis grids vs
+    scalar per-point runs."""
 
     @pytest.fixture(scope="class")
     def controller(self):
@@ -192,12 +199,12 @@ class TestMultiAxisController:
 
     @pytest.mark.parametrize("axis", ["frequency", "tx_power", "distance"])
     @pytest.mark.parametrize("name,scenario", _scenarios()[:2] + _scenarios()[2:3])
-    def test_coarse_to_fine_multi_matches_scalar(self, controller, axis,
-                                                 name, scenario):
+    def test_coarse_to_fine_grid_matches_scalar(self, controller, axis,
+                                                name, scenario):
         link = scenario.link()
         values = AXIS_VALUES[axis]
-        multi = controller.coarse_to_fine_sweep_multi(
-            LinkBackend(link), axis, values)
+        multi = controller.coarse_to_fine_sweep_grid(
+            LinkBackend(link), ProbeGrid.product(**{axis: values}))
         for i, value in enumerate(values):
             scalar = controller.coarse_to_fine_sweep(
                 LinkBackend(_scalar_link_at(link, axis, value)))
@@ -206,11 +213,12 @@ class TestMultiAxisController:
             assert multi.best_power_dbm[i] == pytest.approx(
                 scalar.best_power_dbm, abs=TOLERANCE_DB)
 
-    def test_full_sweep_multi_matches_scalar(self, controller):
+    def test_full_sweep_grid_matches_scalar(self, controller):
         link = TransmissiveScenario().link()
         values = AXIS_VALUES["frequency"][:3]
-        multi = controller.full_sweep_multi(LinkBackend(link), "frequency",
-                                            values, step_v=5.0)
+        multi = controller.full_sweep_grid(
+            LinkBackend(link), ProbeGrid.product(frequency=values),
+            step_v=5.0)
         for i, value in enumerate(values):
             scalar = controller.full_sweep(
                 LinkBackend(_scalar_link_at(link, "frequency", value)),
@@ -223,24 +231,14 @@ class TestMultiAxisController:
     def test_first_maximum_and_nan_semantics(self, controller):
         """NaN probes are never selected; ties pick the first grid point."""
         class TiedBackend:
-            def measure_sweep(self, axis, values, vx, vy):
-                powers = np.zeros(np.broadcast_shapes(
-                    np.shape(values), np.shape(vx), np.shape(vy)))
+            def measure_grid(self, grid):
+                powers = np.zeros(grid.shape)
                 # Poison one probe with NaN; everything else ties at 0.
                 powers[..., 1] = np.nan
                 return powers
 
-            def measure_batch(self, vx, vy):
-                powers = np.zeros(np.broadcast_shapes(np.shape(vx),
-                                                      np.shape(vy)))
-                powers[1] = np.nan
-                return powers
-
-            def measure(self, vx, vy):
-                return 0.0
-
-        multi = controller.coarse_to_fine_sweep_multi(
-            TiedBackend(), "tx_power", np.array([0.0, 10.0]))
+        multi = controller.coarse_to_fine_sweep_grid(
+            TiedBackend(), ProbeGrid.product(tx_power=[0.0, 10.0]))
         scalar = controller.coarse_to_fine_sweep(TiedBackend())
         assert multi.best_vx[0] == scalar.best_vx
         assert multi.best_vy[0] == scalar.best_vy
@@ -248,12 +246,11 @@ class TestMultiAxisController:
 
     def test_all_nan_reports_minus_infinity(self, controller):
         class NaNBackend:
-            def measure_sweep(self, axis, values, vx, vy):
-                return np.full(np.broadcast_shapes(
-                    np.shape(values), np.shape(vx), np.shape(vy)), np.nan)
+            def measure_grid(self, grid):
+                return np.full(grid.shape, np.nan)
 
-        multi = controller.coarse_to_fine_sweep_multi(
-            NaNBackend(), "tx_power", np.array([0.0]))
+        multi = controller.coarse_to_fine_sweep_grid(
+            NaNBackend(), ProbeGrid.product(tx_power=[0.0]))
         assert multi.best_power_dbm[0] == -math.inf
 
 
@@ -269,9 +266,9 @@ class TestNoisyReceiverSweepParity:
         controller = CentralizedController(
             VoltageSweepConfig(iterations=2, switches_per_axis=5))
         receiver = SimulatedReceiver(link, seed=5)
-        multi = controller.coarse_to_fine_sweep_multi(
+        multi = controller.coarse_to_fine_sweep_grid(
             ReceiverSweepBackend(receiver, duration_s=0.0002),
-            "tx_power", tx_powers_dbm)
+            ProbeGrid.product(tx_power=tx_powers_dbm))
         for i, tx_power in enumerate(tx_powers_dbm):
             point_link = WirelessLink(replace(configuration,
                                               tx_power_dbm=float(tx_power)))

@@ -4,6 +4,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import CallableBackend
 from repro.core.controller import (
     CentralizedController,
     VoltageSweepConfig,
@@ -14,7 +15,11 @@ def quadratic_power_surface(best_vx, best_vy, scale=0.05):
     """A smooth synthetic power landscape with a single optimum."""
     def measure(vx, vy):
         return -scale * ((vx - best_vx) ** 2 + (vy - best_vy) ** 2)
-    return measure
+    return CallableBackend(measure)
+
+
+#: A constant power landscape (every bias pair ties).
+FLAT_SURFACE = CallableBackend(lambda vx, vy: 0.0)
 
 
 class TestVoltageSweepConfig:
@@ -55,17 +60,17 @@ class TestFullSweep:
 
     def test_probe_count_for_one_volt_step(self):
         controller = CentralizedController()
-        result = controller.full_sweep(lambda vx, vy: 0.0, step_v=1.0)
+        result = controller.full_sweep(FLAT_SURFACE, step_v=1.0)
         assert result.probe_count == 31 * 31
 
     def test_duration_scales_with_probe_count(self):
         controller = CentralizedController()
-        result = controller.full_sweep(lambda vx, vy: 0.0, step_v=5.0)
+        result = controller.full_sweep(FLAT_SURFACE, step_v=5.0)
         assert result.duration_s == pytest.approx(result.probe_count * 0.02)
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
-            CentralizedController().full_sweep(lambda vx, vy: 0.0, step_v=0.0)
+            CentralizedController().full_sweep(FLAT_SURFACE, step_v=0.0)
 
     def test_axis_scan_duration_close_to_30s(self):
         """Paper: a full 1 V-step scan takes ~30 s at 50 Hz switching."""
@@ -88,7 +93,7 @@ class TestCoarseToFineSweep:
     def test_uses_configured_probe_budget(self):
         config = VoltageSweepConfig(iterations=2, switches_per_axis=5)
         controller = CentralizedController(config)
-        result = controller.coarse_to_fine_sweep(lambda vx, vy: 0.0)
+        result = controller.coarse_to_fine_sweep(FLAT_SURFACE)
         assert result.probe_count == config.probe_count
 
     def test_faster_than_full_sweep(self):
@@ -128,15 +133,16 @@ class TestCoarseToFineSweep:
     def test_strategy_labels(self):
         controller = CentralizedController()
         assert controller.coarse_to_fine_sweep(
-            lambda vx, vy: 0.0).strategy == "coarse-to-fine"
+            FLAT_SURFACE).strategy == "coarse-to-fine"
         assert controller.full_sweep(
-            lambda vx, vy: 0.0, step_v=10.0).strategy == "full"
+            FLAT_SURFACE, step_v=10.0).strategy == "full"
 
     def test_optimize_dispatch(self):
         controller = CentralizedController()
-        fast = controller.optimize(lambda vx, vy: -vx - vy)
-        exhaustive = controller.optimize(lambda vx, vy: -vx - vy,
-                                         exhaustive=True, step_v=10.0)
+        descending = CallableBackend(lambda vx, vy: -vx - vy)
+        fast = controller.optimize(descending)
+        exhaustive = controller.optimize(descending, exhaustive=True,
+                                         step_v=10.0)
         assert fast.strategy == "coarse-to-fine"
         assert exhaustive.strategy == "full"
         assert fast.best_vx == pytest.approx(0.0)
@@ -155,5 +161,6 @@ class TestSweepResult:
     def test_power_range(self):
         controller = CentralizedController(
             VoltageSweepConfig(iterations=1, switches_per_axis=4))
-        result = controller.coarse_to_fine_sweep(lambda vx, vy: vx + vy)
+        result = controller.coarse_to_fine_sweep(
+            CallableBackend(lambda vx, vy: vx + vy))
         assert result.power_range_db == pytest.approx(60.0)

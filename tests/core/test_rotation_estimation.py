@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import CallableOrientationBackend
 from repro.units import db_to_linear, linear_to_db
 from repro.core.controller import VoltageSweepConfig
 from repro.core.rotation_estimation import (
@@ -14,7 +15,7 @@ from repro.core.rotation_estimation import (
 
 
 def synthetic_measure(rotation_for_voltages, floor_db=-35.0):
-    """Build a measure(orientation, vx, vy) callback for a synthetic link.
+    """Build an orientation-aware backend for a synthetic link.
 
     ``rotation_for_voltages(vx, vy)`` gives the polarization rotation the
     synthetic surface applies.  The transmitter is horizontal; the
@@ -27,7 +28,7 @@ def synthetic_measure(rotation_for_voltages, floor_db=-35.0):
         coupling = max(math.cos(mismatch) ** 2,
                        float(db_to_linear(floor_db)))
         return float(linear_to_db(coupling))
-    return measure
+    return CallableOrientationBackend(measure)
 
 
 def linear_rotation_model(vx, vy):
@@ -100,3 +101,13 @@ class TestPowerSlope:
             power_slope_per_degree([0.0], [1.0])
         with pytest.raises(ValueError):
             power_slope_per_degree([0.0, 1.0], [1.0])
+
+
+class TestBackendRequired:
+    def test_bare_callable_rejected_with_a_typed_error(self):
+        estimator = RotationAngleEstimator(orientation_step_deg=45.0)
+        with pytest.raises(TypeError, match="CallableOrientationBackend"):
+            estimator.estimate(lambda orientation_deg, vx, vy: 0.0)
+        with pytest.raises(TypeError, match="CallableOrientationBackend"):
+            estimator.find_extreme_voltages(
+                lambda orientation_deg, vx, vy: 0.0, 0.0)

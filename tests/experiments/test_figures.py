@@ -9,23 +9,23 @@ values that depend on the authors' hardware.
 import numpy as np
 import pytest
 
-from repro.experiments import figures
+from repro.experiments.runner import run_experiment
 
 
 @pytest.fixture(scope="module")
 def material_curves():
-    return figures.figure8_to_10_material_designs(frequency_count=41)
+    return run_experiment("fig08_10", frequency_count=41).payload
 
 
 @pytest.fixture(scope="module")
 def rotation_table():
-    return figures.table1_rotation_degrees()
+    return run_experiment("table1").payload
 
 
 class TestFigure2MismatchImpact:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure2_mismatch_impact(sample_count=60)
+        return run_experiment("fig02", sample_count=60).payload
 
     def test_wifi_penalty_close_to_10db(self, result):
         assert 6.0 <= result["wifi"].mismatch_penalty_db <= 16.0
@@ -77,7 +77,7 @@ class TestFigures8To10:
 class TestFigure11:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure11_voltage_efficiency(frequency_count=21)
+        return run_experiment("fig11", frequency_count=21).payload
 
     def test_every_bias_setting_has_a_curve(self, result):
         assert set(result.curves_db) == {2.0, 3.0, 4.0, 5.0, 6.0, 10.0, 15.0}
@@ -119,21 +119,21 @@ class TestTable1:
 
 class TestFigure12:
     def test_estimation_within_achievable_range(self):
-        result = figures.figure12_rotation_estimation()
+        result = run_experiment("fig12").payload
         assert 0.0 <= result.min_rotation_deg <= result.max_rotation_deg
         assert result.max_rotation_deg <= 60.0
 
     def test_power_slope_is_negative(self):
         """Fig. 12a: linear received power falls as the mismatch grows."""
-        result = figures.figure12_rotation_estimation()
+        result = run_experiment("fig12").payload
         assert result.power_slope_sign < 0.0
 
 
 class TestFigure15:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure15_voltage_heatmaps(distances_cm=(24, 42, 60),
-                                                 voltage_step_v=7.5)
+        return run_experiment("fig15", distance_cm=(24, 42, 60),
+                              voltage_step_v=7.5).payload
 
     def test_one_heatmap_per_distance(self, result):
         assert len(result.heatmaps) == 3
@@ -162,7 +162,7 @@ class TestFigure15:
 class TestFigure16:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure16_transmissive_gain(distances_cm=(24, 42, 60))
+        return run_experiment("fig16", distance_cm=(24, 42, 60)).payload
 
     def test_improvement_at_every_distance(self, result):
         assert all(gain > 8.0 for gain in result.gains_db)
@@ -182,8 +182,8 @@ class TestFigure16:
 class TestFigure17:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure17_frequency_sweep(
-            frequencies_hz=np.arange(2.40e9, 2.501e9, 0.025e9))
+        return run_experiment("fig17", frequency_hz=tuple(
+            np.arange(2.40e9, 2.501e9, 0.025e9))).payload
 
     def test_improvement_everywhere_in_band(self, result):
         """Paper: >10 dB improvement across the whole ISM band."""
@@ -197,8 +197,8 @@ class TestFigure17:
 class TestFigures18And19:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure18_19_txpower_capacity(
-            tx_powers_mw=(0.002, 0.2, 2.0, 200.0))
+        return run_experiment(
+            "fig18_19", tx_power_mw=(0.002, 0.2, 2.0, 200.0)).payload
 
     def test_four_series_produced(self, result):
         assert set(result) == {"fig18a_omni_clean", "fig18b_directional_clean",
@@ -233,7 +233,7 @@ class TestFigures18And19:
 class TestFigure20:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure20_iot_device_pdf(sample_count=60)
+        return run_experiment("fig20", sample_count=60).payload
 
     def test_improvement_close_to_10db(self, result):
         """Paper: ~10 dBm improvement for the ESP8266 link."""
@@ -251,12 +251,12 @@ class TestFigure20:
 class TestFigures21And22:
     @pytest.fixture(scope="class")
     def heatmaps(self):
-        return figures.figure21_reflective_heatmaps(distances_cm=(24, 42, 66),
-                                                    voltage_step_v=7.5)
+        return run_experiment("fig21", distance_cm=(24, 42, 66),
+                              voltage_step_v=7.5).payload
 
     @pytest.fixture(scope="class")
     def gains(self):
-        return figures.figure22_reflective_gain(distances_cm=(24, 42, 66))
+        return run_experiment("fig22", distance_cm=(24, 42, 66)).payload
 
     def test_one_heatmap_per_distance(self, heatmaps):
         assert len(heatmaps) == 3
@@ -280,7 +280,7 @@ class TestFigures21And22:
 class TestFigure23:
     @pytest.fixture(scope="class")
     def result(self):
-        return figures.figure23_respiration_sensing()
+        return run_experiment("fig23").payload
 
     def test_surface_enables_detection(self, result):
         """Fig. 23: breathing detectable only with the metasurface at 5 mW."""
@@ -298,10 +298,9 @@ class TestFigure23:
 class TestDeploymentRunners:
     @pytest.fixture(scope="class")
     def scheduling(self):
-        from repro.api import FleetSpec
-        spec = FleetSpec.office(station_count=4, seed=42)
-        return figures.deployment_scheduling_comparison(
-            spec, epoch_duration_s=300.0, bias_search_step_v=7.5)
+        return run_experiment(
+            "sec7_scheduling", station_count=4, seed=42,
+            epoch_duration_s=300.0, bias_search_step_v=7.5).payload
 
     def test_scheduling_covers_every_strategy(self, scheduling):
         from repro.api import SCHEDULE_STRATEGIES
@@ -326,9 +325,8 @@ class TestDeploymentRunners:
             scheduling.result_for("round-robin")
 
     def test_access_isolation_covers_every_ordered_pair(self):
-        from repro.api import FleetSpec
-        spec = FleetSpec.office(station_count=3, seed=42)
-        result = figures.deployment_access_isolation(spec, step_v=10.0)
+        result = run_experiment("sec7_access", station_count=3, seed=42,
+                                step_v=10.0).payload
         assert len(result.pairs) == 3 * 2
         assert result.best_pair in result.pairs
         assert result.max_isolation_db == max(result.isolation_db)
@@ -338,7 +336,8 @@ class TestDeploymentRunners:
         from repro.api import FleetSession, FleetSpec
         from repro.network.access_control import polarization_access_control
         spec = FleetSpec.office(station_count=3, seed=42)
-        result = figures.deployment_access_isolation(spec, step_v=10.0)
+        result = run_experiment("sec7_access", station_count=3, seed=42,
+                                step_v=10.0).payload
         deployment = FleetSession(spec).deployment
         for pair, isolation, improvement in zip(
                 result.pairs, result.isolation_db, result.improvement_db):

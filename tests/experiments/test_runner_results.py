@@ -3,8 +3,8 @@
 The acceptance surface of the registry redesign: every registered
 experiment runs in smoke mode, its result survives ``to_json`` /
 ``from_json`` with payload equality, parameter-override validation
-rejects unknown/ill-typed keys, and the legacy ``figureN_*`` shims
-return payloads equal (≤ 1e-9) to registry runs of the same spec.
+rejects unknown/ill-typed keys, and ``run_experiment`` shares the
+default runner's cache while isolating each returned payload.
 """
 
 import dataclasses
@@ -20,7 +20,12 @@ from repro.experiments.artifacts import (
     payload_equal,
 )
 from repro.experiments.registry import REGISTRY, ParameterError
-from repro.experiments.runner import ExperimentResult, Runner, default_runner
+from repro.experiments.runner import (
+    ExperimentResult,
+    Runner,
+    default_runner,
+    run_experiment,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +118,10 @@ class TestCaching:
         second = runner.run("table1", voltage_v=(2.0, 15.0))
         assert (99.0, 99.0) not in second.payload.rotation_deg
 
-    def test_legacy_shim_results_are_isolated_per_call(self):
-        first = figures.table1_rotation_degrees(voltages_v=(2.0, 15.0))
+    def test_run_experiment_results_are_isolated_per_call(self):
+        first = run_experiment("table1", voltage_v=(2.0, 15.0)).payload
         first.rotation_deg[(99.0, 99.0)] = 123.0
-        second = figures.table1_rotation_degrees(voltages_v=(2.0, 15.0))
+        second = run_experiment("table1", voltage_v=(2.0, 15.0)).payload
         assert (99.0, 99.0) not in second.rotation_deg
 
     def test_run_all_by_tag(self):
@@ -126,37 +131,13 @@ class TestCaching:
             {name for name in REGISTRY.names("design")}
 
 
-class TestLegacyParity:
-    """Legacy figureN_* shims return registry-run payloads (≤ 1e-9)."""
+class TestModuleRunner:
+    """``run_experiment`` goes through the shared default runner."""
 
-    def test_fig16_parity(self):
-        legacy = figures.figure16_transmissive_gain(distances_cm=(24, 42))
-        registry_run = default_runner().run("fig16", distance_cm=(24, 42))
-        assert payload_equal(legacy, registry_run.payload, tolerance=1e-9)
-
-    def test_table1_parity(self):
-        legacy = figures.table1_rotation_degrees(voltages_v=(2.0, 15.0))
-        registry_run = default_runner().run("table1", voltage_v=(2.0, 15.0))
-        assert payload_equal(legacy, registry_run.payload, tolerance=1e-9)
-
-    def test_fig11_parity(self):
-        legacy = figures.figure11_voltage_efficiency(frequency_count=11,
-                                                     vy_values=(2, 15))
-        registry_run = default_runner().run("fig11", frequency_count=11,
-                                            vy_v=(2, 15))
-        assert payload_equal(legacy, registry_run.payload, tolerance=1e-9)
-
-    def test_fig21_parity(self):
-        legacy = figures.figure21_reflective_heatmaps(
-            distances_cm=(24, 36), voltage_step_v=10.0)
-        registry_run = default_runner().run("fig21", distance_cm=(24, 36),
-                                            voltage_step_v=10.0)
-        assert payload_equal(legacy, registry_run.payload, tolerance=1e-9)
-
-    def test_shims_share_the_default_runner_cache(self):
+    def test_run_experiment_shares_the_default_runner_cache(self):
         hits_before = default_runner().cache_info[0]
-        figures.figure16_transmissive_gain(distances_cm=(24, 42))
-        figures.figure16_transmissive_gain(distances_cm=(24, 42))
+        run_experiment("fig16", distance_cm=(24, 42))
+        run_experiment("fig16", distance_cm=(24, 42))
         assert default_runner().cache_info[0] > hits_before
 
 

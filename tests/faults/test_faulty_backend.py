@@ -1,5 +1,6 @@
-"""FaultyBackend: zero-fault parity across every probe protocol, and
-the behaviour of each fault kind when it does fire."""
+"""FaultyBackend: zero-fault parity across 0-d, bias-only, one-axis and
+product probe grids, and the behaviour of each fault kind when it does
+fire."""
 
 import numpy as np
 import pytest
@@ -19,10 +20,16 @@ from repro.faults import (
 
 LEVELS = np.arange(0.0, 30.0 + 1.0, 6.0)
 VX, VY = np.meshgrid(LEVELS, LEVELS, indexing="ij")
+BIAS_GRID = ProbeGrid.aligned(vx=VX, vy=VY)
 
-#: Parity bar from the issue: zero-fault wrapping must be bit-identical
-#: (<= 1e-12 dB) to the bare backend on every protocol.
+#: Zero-fault wrapping must be bit-identical (<= 1e-12 dB) to the bare
+#: backend on every grid layout.
 PARITY_DB = 1e-12
+
+
+def scalar(backend, vx, vy):
+    """One 0-d grid probe, as a float."""
+    return float(backend.measure_grid(ProbeGrid.aligned(vx=vx, vy=vy)))
 
 
 @pytest.fixture(scope="module")
@@ -45,29 +52,28 @@ class TestZeroFaultParity:
         # plane must still be on the fast path.
         return FaultyBackend(bare, FaultSchedule(request.param, seed=0))
 
-    def test_measure(self, bare, wrapped):
-        assert abs(wrapped.measure(12.0, 18.0)
-                   - bare.measure(12.0, 18.0)) <= PARITY_DB
+    def test_zero_d_grid(self, bare, wrapped):
+        assert abs(scalar(wrapped, 12.0, 18.0)
+                   - scalar(bare, 12.0, 18.0)) <= PARITY_DB
 
-    def test_measure_batch(self, bare, wrapped):
-        delta = np.abs(wrapped.measure_batch(VX, VY)
-                       - bare.measure_batch(VX, VY))
+    def test_bias_grid(self, bare, wrapped):
+        delta = np.abs(wrapped.measure_grid(BIAS_GRID)
+                       - bare.measure_grid(BIAS_GRID))
         assert float(np.max(delta)) <= PARITY_DB
 
-    def test_measure_sweep(self, bare, wrapped):
-        frequencies = np.linspace(2.4e9, 2.5e9, 7)
-        delta = np.abs(
-            wrapped.measure_sweep("frequency", frequencies, vx=6.0, vy=9.0)
-            - bare.measure_sweep("frequency", frequencies, vx=6.0, vy=9.0))
+    def test_one_axis_grid(self, bare, wrapped):
+        grid = ProbeGrid.aligned(frequency=np.linspace(2.4e9, 2.5e9, 7),
+                                 vx=6.0, vy=9.0)
+        delta = np.abs(wrapped.measure_grid(grid) - bare.measure_grid(grid))
         assert float(np.max(delta)) <= PARITY_DB
 
-    def test_measure_grid(self, bare, wrapped):
+    def test_product_grid(self, bare, wrapped):
         grid = ProbeGrid.product(vx=LEVELS, vy=LEVELS)
         delta = np.abs(wrapped.measure_grid(grid) - bare.measure_grid(grid))
         assert float(np.max(delta)) <= PARITY_DB
 
     def test_fast_path_consumes_no_streams(self, bare, wrapped):
-        wrapped.measure_batch(VX, VY)
+        wrapped.measure_grid(BIAS_GRID)
         assert wrapped.schedule.trace.events == ()
         # The stream dictionary itself stays untouched (no draws at all).
         assert wrapped.schedule._streams == {}
@@ -77,54 +83,54 @@ class TestDataPlaneFaults:
     def test_dropouts_are_nans_at_the_masked_cells(self, bare):
         spec = FaultSpec(probe_dropout_rate=0.25)
         schedule = FaultSchedule(spec, seed=3)
-        powers = FaultyBackend(bare, schedule).measure_batch(VX, VY)
+        powers = FaultyBackend(bare, schedule).measure_grid(BIAS_GRID)
         mask = schedule.replay().fault_mask("probe.dropout", VX.shape,
                                             spec.probe_dropout_rate)
         assert np.isnan(powers[mask]).all()
         np.testing.assert_allclose(powers[~mask],
-                                   bare.measure_batch(VX, VY)[~mask])
+                                   bare.measure_grid(BIAS_GRID)[~mask])
 
     def test_noise_bursts_offset_by_exactly_the_burst_magnitude(self, bare):
         spec = FaultSpec(noise_burst_rate=0.3, noise_burst_db=6.0)
         schedule = FaultSchedule(spec, seed=5)
-        powers = FaultyBackend(bare, schedule).measure_batch(VX, VY)
-        clean = bare.measure_batch(VX, VY)
+        powers = FaultyBackend(bare, schedule).measure_grid(BIAS_GRID)
+        clean = bare.measure_grid(BIAS_GRID)
         offsets = np.abs(powers - clean)
         hit = offsets > 0
         np.testing.assert_allclose(offsets[hit], spec.noise_burst_db)
         assert hit.any()
 
-    def test_scalar_measure_goes_through_the_fault_plane(self, bare):
+    def test_zero_d_grid_goes_through_the_fault_plane(self, bare):
         spec = FaultSpec(probe_dropout_rate=1.0)
-        power = FaultyBackend(bare, FaultSchedule(spec, seed=0)).measure(
-            6.0, 6.0)
-        assert isinstance(power, float) and np.isnan(power)
+        power = FaultyBackend(bare, FaultSchedule(spec, seed=0)).measure_grid(
+            ProbeGrid.aligned(vx=6.0, vy=6.0))
+        assert power.shape == () and np.isnan(power)
 
 
 class TestActuatorFaults:
     def test_stuck_actuators_probe_the_stuck_voltage(self, bare):
         spec = FaultSpec(stuck_rate=1.0, stuck_voltage_v=0.0)
         powers = FaultyBackend(bare, FaultSchedule(spec, seed=0)) \
-            .measure_batch(VX, VY)
-        stuck = bare.measure(0.0, 0.0)
+            .measure_grid(BIAS_GRID)
+        stuck = scalar(bare, 0.0, 0.0)
         np.testing.assert_allclose(powers, np.full(VX.shape, stuck))
 
     def test_quantization_snaps_commanded_voltages(self, bare):
         spec = FaultSpec(quantize_step_v=10.0)
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0))
-        assert wrapped.measure(14.0, 14.0) == pytest.approx(
-            bare.measure(10.0, 10.0))
-        assert wrapped.measure(16.0, 16.0) == pytest.approx(
-            bare.measure(20.0, 20.0))
+        assert scalar(wrapped, 14.0, 14.0) == pytest.approx(
+            scalar(bare, 10.0, 10.0))
+        assert scalar(wrapped, 16.0, 16.0) == pytest.approx(
+            scalar(bare, 20.0, 20.0))
 
     def test_brownouts_clip_voltages_from_above(self, bare):
         spec = FaultSpec(brownout_rate=1.0, brownout_clip_v=18.0)
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0))
-        assert wrapped.measure(25.0, 30.0) == pytest.approx(
-            bare.measure(18.0, 18.0))
+        assert scalar(wrapped, 25.0, 30.0) == pytest.approx(
+            scalar(bare, 18.0, 18.0))
         # Voltages already under the clip are untouched.
-        assert wrapped.measure(6.0, 9.0) == pytest.approx(
-            bare.measure(6.0, 9.0))
+        assert scalar(wrapped, 6.0, 9.0) == pytest.approx(
+            scalar(bare, 6.0, 9.0))
 
     def test_grid_probe_rebuilds_voltage_axes(self, bare):
         grid = ProbeGrid.product(vx=LEVELS, vy=LEVELS)
@@ -132,7 +138,7 @@ class TestActuatorFaults:
         powers = FaultyBackend(bare, FaultSchedule(spec, seed=0)) \
             .measure_grid(grid)
         np.testing.assert_allclose(
-            powers, np.full(grid.shape, bare.measure(3.0, 3.0)))
+            powers, np.full(grid.shape, scalar(bare, 3.0, 3.0)))
 
 
 class TestCallFaults:
@@ -140,7 +146,7 @@ class TestCallFaults:
         spec = FaultSpec(probe_error_rate=1.0)
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0))
         with pytest.raises(ProbeFaultError):
-            wrapped.measure_batch(VX, VY)
+            wrapped.measure_grid(BIAS_GRID)
 
 
 class TestAccounting:
@@ -149,7 +155,7 @@ class TestAccounting:
         monitor = HealthMonitor()
         wrapped = FaultyBackend(bare, FaultSchedule(spec, seed=0),
                                 monitor=monitor)
-        wrapped.measure_batch(VX, VY)
+        wrapped.measure_grid(BIAS_GRID)
         report = monitor.report()
         assert report.probes == 1
         assert report.faults_seen["probe.dropout"] == VX.size
@@ -159,8 +165,8 @@ class TestAccounting:
         spec = FaultSpec(probe_dropout_rate=0.2, noise_burst_rate=0.2,
                          stuck_rate=0.1)
         schedule = FaultSchedule(spec, seed=9)
-        first = FaultyBackend(bare, schedule).measure_batch(VX, VY)
+        first = FaultyBackend(bare, schedule).measure_grid(BIAS_GRID)
         replayed = schedule.replay()
-        second = FaultyBackend(bare, replayed).measure_batch(VX, VY)
+        second = FaultyBackend(bare, replayed).measure_grid(BIAS_GRID)
         np.testing.assert_array_equal(first, second)
         assert schedule.trace.digest() == replayed.trace.digest()

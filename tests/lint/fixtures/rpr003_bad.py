@@ -8,8 +8,8 @@ Expected findings: 1 sweep-call typo, 1 unknown ProbeGrid keyword,
 from repro.channel.grid import ProbeGrid
 
 
-def sweeps(link, values):
-    return link.received_power_dbm_sweep("freqency", values)
+def sweeps(receiver, values):
+    return receiver.measure_power_dbm_sweep("freqency", values)
 
 
 def grids(values):

@@ -4,8 +4,8 @@
 from repro.channel.grid import ProbeGrid
 
 
-def sweeps(link, values):
-    return link.received_power_dbm_sweep("frequency", values)
+def sweeps(receiver, values):
+    return receiver.measure_power_dbm_sweep("frequency", values)
 
 
 def grids(values):

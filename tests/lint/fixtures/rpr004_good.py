@@ -1,5 +1,5 @@
 # repro-lint: role=figures
-"""RPR004 fixture: registered shims with coverage + smoke (no findings)."""
+"""RPR004 fixture: a registration with coverage + smoke (no findings)."""
 
 from repro.experiments.registry import Param, experiment
 from repro.experiments.runner import run_experiment
@@ -18,5 +18,5 @@ def _run_covered(sample_count):
     return float(sample_count)
 
 
-def fig99_shim():
+def covered_payload():
     return run_experiment("covered").payload

@@ -22,7 +22,7 @@ BAD_FIXTURES = [
     ("rpr001_bad.py", "RPR001", 5),
     ("rpr002_bad.py", "RPR002", 5),
     ("rpr003_bad.py", "RPR003", 5),
-    ("rpr004_bad.py", "RPR004", 3),
+    ("rpr004_bad.py", "RPR004", 4),
     ("rpr005_bad.py", "RPR005", 4),
     ("rpr006_bad.py", "RPR006", 5),
     ("rpr007_bad.py", "RPR007", 6),

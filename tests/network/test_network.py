@@ -379,19 +379,19 @@ class TestStackedPlanes:
             deployment.rssi_matrix(0.0, 0.0, names=["missing"])
 
 
-class TestDeprecatedBatchShims:
-    """The pre-fleet per-station batch entry points still work — and warn."""
+class TestSingleStationRows:
+    """A one-station stacked probe equals the scalar per-station path."""
 
-    def test_rssi_dbm_batch_warns_and_matches_matrix_row(self, deployment):
+    def test_rssi_matrix_row_matches_scalar_rssi(self, deployment):
         levels = np.arange(0.0, 30.1, 10.0)
-        with pytest.warns(DeprecationWarning, match="rssi_matrix"):
-            shim = deployment.rssi_dbm_batch("tilted", levels, levels)
         stacked = deployment.rssi_matrix(levels, levels, names=["tilted"])
-        assert np.max(np.abs(shim - stacked[0])) <= 1e-9
+        scalar = [deployment.rssi_dbm("tilted", float(v), float(v))
+                  for v in levels]
+        assert np.max(np.abs(stacked[0] - scalar)) <= 1e-9
 
-    def test_rate_mbps_batch_warns_and_matches_matrix_row(self, deployment):
+    def test_rate_matrix_row_matches_scalar_rate(self, deployment):
         levels = np.arange(0.0, 30.1, 10.0)
-        with pytest.warns(DeprecationWarning, match="rate_matrix"):
-            shim = deployment.rate_mbps_batch("tilted", levels, levels)
         stacked = deployment.rate_matrix(levels, levels, names=["tilted"])
-        assert np.max(np.abs(shim - stacked[0])) <= 1e-9
+        scalar = [deployment.rate_mbps("tilted", float(v), float(v))
+                  for v in levels]
+        assert np.max(np.abs(stacked[0] - scalar)) <= 1e-9
