@@ -8,7 +8,15 @@ station-independent, so the stacked pass computes it once for the whole
 fleet while the loop recomputes it per station; the scheduling searches
 (compromise-bias utility scan, per-station best-bias scan) are gated at
 >= 3x with parity <= 1e-9 dB.
+
+The absolute-throughput row times the serving plane's coalesced probe,
+``FleetSession.probe_aligned``, at B=4096 rows over fleets of 8, 64
+and 512 stations, gated at <= 5 us per probe.
 """
+
+import os
+import platform
+import time
 
 import numpy as np
 
@@ -151,3 +159,63 @@ def test_bench_fleet_scheduling_comparison(benchmark):
     assert reuse.worst_station_rate_mbps >= baseline.worst_station_rate_mbps
     assert result.reuse_retune_savings > 0
     assert reuse.total_throughput_mbps > 0.9 * per_station.total_throughput_mbps
+
+
+PROBE_ROWS = 4096
+PROBE_FLEET_SIZES = (8, 64, 512)
+PROBE_REPEATS = 5
+MAX_US_PER_PROBE = 5.0
+
+
+def probe_aligned_throughput(station_count):
+    """Best-of-N wall clock of one B=4096 ``probe_aligned`` call.
+
+    The rows draw stations with repetition, as a serve batch window
+    coalesces many requests for the same station into one pass.
+    """
+    fleet = FleetSession(FleetSpec.office(station_count=station_count,
+                                          seed=7))
+    rng = np.random.default_rng(station_count)
+    names = [fleet.station_names[index]
+             for index in rng.integers(0, station_count, PROBE_ROWS)]
+    vx = rng.uniform(0.0, 30.0, PROBE_ROWS)
+    vy = rng.uniform(0.0, 30.0, PROBE_ROWS)
+    fleet.probe_aligned(vx, vy, stations=names)  # warm the ensemble cache
+    samples = []
+    for _ in range(PROBE_REPEATS):
+        start = time.perf_counter()
+        powers = fleet.probe_aligned(vx, vy, stations=names)
+        samples.append(time.perf_counter() - start)
+    assert powers.shape == (PROBE_ROWS,) and np.all(np.isfinite(powers))
+    wall_s = min(samples)
+    return {
+        "label": f"probe_aligned B={PROBE_ROWS}, {station_count} stations",
+        "stations": station_count,
+        "probes": PROBE_ROWS,
+        "wall_ms": wall_s * 1e3,
+        "us_per_probe": wall_s / PROBE_ROWS * 1e6,
+        "probes_per_s": PROBE_ROWS / wall_s,
+    }
+
+
+def test_bench_probe_aligned_throughput(benchmark):
+    """Absolute cost of the coalesced probe, not a ratio to a slow loop."""
+    rows = run_once(benchmark, lambda: [probe_aligned_throughput(count)
+                                        for count in PROBE_FLEET_SIZES])
+    print()
+    print(format_table(
+        ["plane", "probes", "wall (ms)", "us / probe", "probes / s"],
+        [[row["label"], row["probes"], row["wall_ms"], row["us_per_probe"],
+          row["probes_per_s"]] for row in rows],
+        precision=2, title="FleetSession.probe_aligned absolute throughput"))
+
+    write_bench_rows(
+        "fleet probe_aligned absolute throughput", rows,
+        meta={"max_us_per_probe": MAX_US_PER_PROBE,
+              "repeats": PROBE_REPEATS, "statistic": "min",
+              "machine": {"cores": os.cpu_count(),
+                          "python": platform.python_version(),
+                          "numpy": np.__version__}})
+
+    for row in rows:
+        assert row["us_per_probe"] <= MAX_US_PER_PROBE, row

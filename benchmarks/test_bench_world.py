@@ -3,11 +3,12 @@
 The acceptance bar from the issue: evaluating a trace-driven
 ``WorldTimeline`` through the batched ``(T, N)`` ``ProbeGrid`` pass
 must run >= 3x faster than the scalar per-``(epoch, station)``
-reference loop, at <= 1e-9 dB parity.  Both paths share the physics —
-``evaluate_reference`` builds each probe cell one scalar at a time
-while ``evaluate`` stacks the whole timeline into one aligned grid —
-so the gate proves the time axis rides the existing vectorized link
-engine rather than multiplying scalar probes.
+reference loop, at <= 1e-9 dB parity.  ``evaluate_reference`` builds
+one scalar ``LinkConfiguration`` per cell (scalar geometry rule, rotated
+antenna) and probes it with no grid axis, while ``evaluate`` stacks the
+whole timeline into one aligned grid through the closed-form axis
+layer — so the gate proves the time axis rides the vectorized link
+engine, and the parity check compares two independent implementations.
 """
 
 import numpy as np

@@ -72,6 +72,26 @@ def probe_evaluations() -> int:
     return _BUDGET_EVALUATIONS
 
 
+def _rotated_jones(antenna: Antenna, angles_deg: np.ndarray) -> np.ndarray:
+    """``antenna.rotated(angle).jones`` at every angle, as ``(..., 2)``.
+
+    Rotates the base polarization's Jones vector by ``R(theta)`` (paper
+    Eq. 4) and renormalises it, as :class:`PolarizationState` does.  An
+    angle of exactly 0 degrees keeps the unrotated vector, as
+    :attr:`Antenna.effective_polarization` does.
+    """
+    base = antenna.polarization.jones
+    theta = np.radians(angles_deg)
+    cos, sin = np.cos(theta), np.sin(theta)
+    x = cos * base.x - sin * base.y
+    y = sin * base.x + cos * base.y
+    amplitude = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
+    rotated = np.stack([x / amplitude, y / amplitude], axis=-1)
+    unrotated = np.array([base.x, base.y], dtype=complex)
+    return np.where(np.asarray(angles_deg == 0.0)[..., None], unrotated,
+                    rotated)
+
+
 class DeploymentMode(Enum):
     """How (and whether) the metasurface participates in the link."""
 
@@ -465,24 +485,42 @@ class WirelessLink:
         endpoints fixed and vary the surface's perpendicular offset —
         exactly the two distance axes of the paper's Figs. 16 and 22.
         """
+        if self._varies_surface_offset():
+            return LinkGeometry.reflective(
+                self._configuration.geometry.direct_distance_m, distance_m)
+        return LinkGeometry.transmissive(
+            distance_m, surface_fraction=self._surface_fraction())
+
+    def _varies_surface_offset(self) -> bool:
+        """Whether the distance axis moves the surface, not the endpoints."""
         config = self._configuration
-        geometry = config.geometry
-        if config.deployment is DeploymentMode.REFLECTIVE or config.aim_at_surface:
-            return LinkGeometry.reflective(geometry.direct_distance_m,
-                                           distance_m)
+        return (config.deployment is DeploymentMode.REFLECTIVE or
+                config.aim_at_surface)
+
+    def _surface_fraction(self) -> float:
+        """Fractional Tx-to-surface position the distance axis preserves."""
+        geometry = self._configuration.geometry
         fraction = geometry.tx_to_surface_m / geometry.direct_distance_m
         if not (0.0 < fraction < 1.0):
             # Degenerate/non-canonical layout: keep the surface midway,
             # which is where every canonical transmissive setup puts it.
             fraction = 0.5
-        return LinkGeometry.transmissive(distance_m, surface_fraction=fraction)
+        return fraction
 
     def _axis_parameters(self, axis: str, values: np.ndarray) -> Dict:
         """Per-point parameter arrays for one grid/sweep axis.
 
-        Returns overrides (each shaped like ``values``) consumed by the
+        Returns overrides (each shaped like ``values``; Jones vectors
+        add a trailing axis of 2) consumed by the
         :meth:`_budget_power_dbm` engine; parameters not overridden stay
-        at their configured scalar values.
+        at their configured scalar values.  Every branch is closed-form
+        array math with no per-point Python objects: the distance axis
+        evaluates the canonical layouts of :meth:`_geometry_at_distance`
+        directly (see :meth:`_distance_parameters`), and the orientation
+        axes rotate the antenna's base Jones vector (see
+        :func:`_rotated_jones`).  ``_geometry_at_distance`` plus
+        :meth:`Antenna.rotated` stay the scalar rule the parity and
+        oracle suites check these arrays against.
         """
         config = self._configuration
         if axis == "frequency":
@@ -492,39 +530,51 @@ class WirelessLink:
         if axis == "tx_power":
             return {"tx_power_dbm": values}
         if axis == "distance":
-            geometries = [self._geometry_at_distance(float(d))
-                          for d in values.ravel()]
-            overrides = {
-                "direct_distance_m": np.reshape(
-                    [g.direct_distance_m for g in geometries], values.shape),
-                "via_distance_m": np.reshape(
-                    [g.via_surface_distance_m for g in geometries],
-                    values.shape),
-            }
-            if config.aim_at_surface:
-                overrides["direct_tx_gain_dbi"] = np.reshape(
-                    [config.tx_antenna.gain_dbi_towards(
-                        g.angle_at_transmitter_deg()) for g in geometries],
-                    values.shape)
-                overrides["direct_rx_gain_dbi"] = np.reshape(
-                    [config.rx_antenna.gain_dbi_towards(
-                        g.angle_at_receiver_deg()) for g in geometries],
-                    values.shape)
-            return overrides
+            return self._distance_parameters(values)
         if axis == "rx_orientation":
-            rotated = [config.rx_antenna.rotated(float(angle)).jones
-                       for angle in values.ravel()]
-            return {"rx_jones": np.reshape(
-                [[jones.x, jones.y] for jones in rotated],
-                values.shape + (2,))}
+            return {"rx_jones": _rotated_jones(config.rx_antenna, values)}
         if axis == "tx_orientation":
-            rotated = [config.tx_antenna.rotated(float(angle)).jones
-                       for angle in values.ravel()]
-            return {"tx_jones": np.reshape(
-                [[jones.x, jones.y] for jones in rotated],
-                values.shape + (2,))}
+            return {"tx_jones": _rotated_jones(config.tx_antenna, values)}
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of "
                          f"{SWEEP_AXES}")
+
+    def _distance_parameters(self, distances: np.ndarray) -> Dict:
+        """Distance-axis overrides of :meth:`_axis_parameters`.
+
+        Reflective (or aimed-at-surface) layouts keep the endpoints
+        ``D`` apart and put the surface ``d`` off their bisector, so
+        each leg is ``sqrt((D/2)^2 + d^2)`` and both antennas see the
+        direct path ``arccos((D/2)/leg)`` off the surface boresight.
+        Transmissive and no-surface layouts set the Tx-Rx distance to
+        ``d`` with the surface at a fixed fraction ``f`` of it.  Raises
+        the same errors as :class:`LinkGeometry`'s canonical layouts.
+        """
+        config = self._configuration
+        if self._varies_surface_offset():
+            separation = config.geometry.direct_distance_m
+            if distances.size:
+                if separation <= 0:
+                    raise ValueError("Tx-Rx separation must be positive")
+                if np.any(distances <= 0):
+                    raise ValueError("surface offset must be positive")
+            half = separation / 2.0
+            leg = np.sqrt(half ** 2 + distances ** 2)
+            overrides = {
+                "direct_distance_m": np.full(distances.shape, separation),
+                "via_distance_m": 2.0 * leg,
+            }
+            if config.aim_at_surface:
+                angle = np.degrees(np.arccos(half / leg))
+                overrides["direct_tx_gain_dbi"] = (
+                    config.tx_antenna.gain_dbi_towards(angle))
+                overrides["direct_rx_gain_dbi"] = (
+                    config.rx_antenna.gain_dbi_towards(angle))
+            return overrides
+        if np.any(distances <= 0):
+            raise ValueError("Tx-Rx distance must be positive")
+        to_surface = distances * self._surface_fraction()
+        return {"direct_distance_m": distances,
+                "via_distance_m": to_surface + (distances - to_surface)}
 
     def _budget_power_dbm(self, vx, vy, params: Dict) -> np.ndarray:
         """The one link-budget engine every public entry point views.

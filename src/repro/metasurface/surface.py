@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -242,6 +243,20 @@ class Metasurface:
     # ------------------------------------------------------------------ #
     # Transmissive response
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _qwp_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Front and back QWP Jones matrices (read-only, computed once).
+
+        The QWP layers' loss model is frequency-flat (dielectric
+        dissipation only), so their matrices are constants of the stack,
+        evaluated once per surface at the design frequency.
+        """
+        front = self.front_qwp.jones_matrix(self.design_frequency_hz).as_array()
+        back = self.back_qwp.jones_matrix(self.design_frequency_hz).as_array()
+        front.setflags(write=False)
+        back.setflags(write=False)
+        return front, back
+
     def jones_matrix(self, frequency_hz: float, vx: float,
                      vy: float) -> JonesMatrix:
         """Transmissive Jones matrix ``Q(+45) B(Vx, Vy) Q(-45)`` with loss.
@@ -271,11 +286,7 @@ class Metasurface:
         if np.any(frequency <= 0):
             raise ValueError("frequency must be positive")
         effective_vx, effective_vy = self._effective_voltages(vx, vy)
-        # The QWP layers' loss model is frequency-flat (dielectric
-        # dissipation only), so their matrices are constants of the
-        # stack and can be evaluated once at the design frequency.
-        front = self.front_qwp.jones_matrix(self.design_frequency_hz).as_array()
-        back = self.back_qwp.jones_matrix(self.design_frequency_hz).as_array()
+        front, back = self._qwp_matrices
         dx, dy = self.birefringent.diagonal_batch(frequency, effective_vx,
                                                   effective_vy)
         # front @ diag(dx, dy) scales front's columns element-wise, then

@@ -7,10 +7,16 @@ station) plane as a single aligned**
 :class:`~repro.channel.grid.ProbeGrid` — distance, transmit power and
 transmit orientation co-vary as ``(T, N)`` arrays against the bias
 voltages, so a 200-epoch, 12-station world costs one pass of the budget
-engine, not 2400 scalar probes.  :meth:`WorldTimeline.evaluate_reference`
-is the per-station-per-timestep scalar loop kept as the parity/bench
-baseline (``benchmarks/test_bench_world.py`` gates the batched path at
->= 3x).
+engine, not 2400 scalar probes.  The distance and orientation planes
+become per-cell geometry and Jones arrays in the link's closed-form
+axis layer, with no Python object per cell.
+:meth:`WorldTimeline.evaluate_reference` is the independent scalar
+baseline: one :class:`~repro.channel.link.LinkConfiguration` per
+(epoch, station) cell, built from the scalar geometry rule and a
+rotated antenna, probed without any grid axis.  The parity tests pin
+the batched plane to it within 1e-9 dB, and
+``benchmarks/test_bench_world.py`` gates the batched path at >= 3x
+over it.
 
 Stations without a trace hold their spec values, so a timeline with no
 traces at all reproduces the static snapshot exactly — each epoch row
@@ -33,13 +39,14 @@ Composition points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.api.fleet import FleetSession, FleetSpec
 from repro.channel.grid import ProbeGrid
+from repro.channel.link import WirelessLink
 from repro.core.tracking import (
     OrientationTrajectory,
     TrackingController,
@@ -198,18 +205,26 @@ class WorldTimeline:
 
     def evaluate_reference(self, vx=0.0, vy=0.0, with_surface: bool = True
                            ) -> np.ndarray:
-        """The same plane via a per-station-per-timestep scalar loop.
+        """The same plane, one scalar link per (epoch, station) cell.
 
-        One 1x1 probe per (epoch, station) cell through the identical
-        budget engine — the honest scalar baseline the world benchmark
-        compares against (and the parity reference pinning
-        :meth:`evaluate` to <= 1e-9 dB cell-for-cell).
+        Each cell builds its own :class:`~repro.channel.link.LinkConfiguration`
+        — the distance-axis geometry rule
+        (:meth:`~repro.channel.link.WirelessLink._geometry_at_distance`),
+        the station antenna :meth:`~repro.channel.antenna.Antenna.rotated`
+        to the epoch's orientation, the station's transmit power — and
+        probes it through the scalar
+        :meth:`~repro.channel.link.WirelessLink.received_power_dbm`.
+        No grid axis is involved, so this loop is an independent
+        reference for :meth:`evaluate`'s array axis layer (pinned to
+        <= 1e-9 dB cell-for-cell) and the scalar baseline the world
+        benchmark compares against.
         """
         times = self.times()
         distances = self.distance_plane(times)
         orientations = self.orientation_plane(times)
         ensemble = self.fleet.deployment.ensemble_for(
             with_surface=with_surface)
+        template = ensemble.configuration
         powers_dbm = ensemble.parameter("tx_power_dbm")
         vx_plane = np.broadcast_to(np.asarray(vx, dtype=float),
                                    distances.shape)
@@ -218,13 +233,16 @@ class WorldTimeline:
         result = np.empty_like(distances)
         for t in range(distances.shape[0]):
             for i in range(distances.shape[1]):
-                grid = ProbeGrid.aligned(
-                    distance=np.float64(distances[t, i]),
-                    tx_orientation=np.float64(orientations[t, i]),
-                    tx_power=np.float64(powers_dbm[i]),
-                    vx=np.float64(vx_plane[t, i]),
-                    vy=np.float64(vy_plane[t, i]))
-                result[t, i] = float(ensemble.link.evaluate_grid(grid))
+                configuration = replace(
+                    template,
+                    geometry=ensemble.link._geometry_at_distance(
+                        float(distances[t, i])),
+                    tx_antenna=template.tx_antenna.rotated(
+                        float(orientations[t, i])),
+                    tx_power_dbm=float(powers_dbm[i]))
+                link = WirelessLink(configuration)  # repro-lint: disable=RPR002 -- the scalar reference builds one independent link per cell on purpose
+                result[t, i] = link.received_power_dbm(
+                    float(vx_plane[t, i]), float(vy_plane[t, i]))
         return result
 
     def best_bias_planes(self, step_v: float = 10.0

@@ -1,6 +1,7 @@
 """Tests for the assembled metasurface."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +175,6 @@ class TestBookkeeping:
             prototype_surface.bandpass_loss_db(2.44e9, axis="z")
 
     def test_construction_validation(self, prototype_surface):
-        from dataclasses import replace
         with pytest.raises(ValueError):
             replace(prototype_surface, selectivity_q=0.0)
         with pytest.raises(ValueError):
@@ -183,3 +183,49 @@ class TestBookkeeping:
             replace(prototype_surface, reflective_conversion_fraction=1.5)
         with pytest.raises(ValueError):
             replace(prototype_surface, bias_derating=(15.0, 2.0))
+
+
+class TestFrequencyFlatQwpMatrices:
+    """The QWP matrices are hoisted out of the per-call cascade."""
+
+    @staticmethod
+    def _cascade_rebuilding_qwps(surface, frequency_hz, vx, vy):
+        """The cascade with both QWP matrices rebuilt on this call."""
+        front = surface.front_qwp.jones_matrix(
+            surface.design_frequency_hz).as_array()
+        back = surface.back_qwp.jones_matrix(
+            surface.design_frequency_hz).as_array()
+        vx, vy = surface._effective_voltages(np.asarray(vx, dtype=float),
+                                             np.asarray(vy, dtype=float))
+        dx, dy = surface.birefringent.diagonal_batch(
+            np.asarray(frequency_hz, dtype=float), vx, vy)
+        diagonal = np.stack(np.broadcast_arrays(dx, dy), axis=-1)
+        cascade = (front * diagonal[..., None, :]) @ back
+        amp_x, amp_y = surface._bandpass_amplitudes(
+            np.asarray(frequency_hz, dtype=float))
+        bandpass = np.stack(np.broadcast_arrays(amp_x, amp_y), axis=-1)
+        return cascade * bandpass[..., None, :]
+
+    @pytest.mark.parametrize("prototype", [False, True])
+    def test_batch_is_bit_identical_to_rebuilding_the_qwps(self, prototype):
+        surface = llama_design().build(prototype=prototype)
+        frequency = np.array([[2.40e9], [2.44e9], [2.50e9]])
+        vx = np.linspace(0.0, 30.0, 7)
+        vy = np.linspace(30.0, 0.0, 7)
+        for _ in range(2):  # first call fills the cache, second reuses it
+            np.testing.assert_array_equal(
+                surface.jones_matrix_batch(frequency, vx, vy),
+                self._cascade_rebuilding_qwps(surface, frequency, vx, vy))
+
+    def test_matrices_are_computed_once_and_read_only(self, ideal_surface):
+        front, back = ideal_surface._qwp_matrices
+        assert ideal_surface._qwp_matrices[0] is front
+        assert not front.flags.writeable and not back.flags.writeable
+        with pytest.raises(ValueError):
+            front[0, 0] = 0.0
+
+    def test_replaced_surface_gets_its_own_matrices(self, ideal_surface):
+        ideal_surface.jones_matrix_batch(2.44e9, 5.0, 5.0)
+        flipped = replace(ideal_surface, front_qwp=ideal_surface.back_qwp)
+        np.testing.assert_array_equal(flipped._qwp_matrices[0],
+                                      ideal_surface._qwp_matrices[1])
