@@ -8,7 +8,11 @@ The scaffolding for both lives here so the ``test_bench_*`` modules
 stay declarative.
 """
 
+import os
+import platform
 import time
+
+import numpy as np
 
 from repro.experiments.reporting import format_table
 from trajectory import CURRENT_PR, bench_archive_path, write_bench_rows
@@ -17,6 +21,7 @@ __all__ = [
     "CURRENT_PR",
     "assert_speedup",
     "bench_archive_path",
+    "machine_fingerprint",
     "print_speedup_table",
     "run_once",
     "speedup_row",
@@ -35,6 +40,12 @@ def run_once(benchmark, function, *args, **kwargs):
     """
     return benchmark.pedantic(function, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
+
+
+def machine_fingerprint():
+    """The facts an absolute timing depends on, for the archive's meta."""
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "machine": platform.machine()}
 
 
 # ---------------------------------------------------------------------- #

@@ -34,8 +34,8 @@ PARITY_DB = 1e-12
 STEP_V = 0.5
 LEVELS = np.arange(0.0, 30.0 + 0.5 * STEP_V, STEP_V)
 VX_GRID, VY_GRID = np.meshgrid(LEVELS, LEVELS, indexing="ij")
-CALLS = 40
-REPEATS = 7
+CALLS = 20
+PAIRS = 21
 
 
 def wrap_resilience(backend):
@@ -45,34 +45,48 @@ def wrap_resilience(backend):
                            RetryPolicy(), schedule=schedule)
 
 
-def best_seconds_interleaved(bare_fn, wrapped_fn):
-    """Minimum wall-clock of ``REPEATS`` interleaved runs of each path.
+def _seconds(function):
+    start = time.perf_counter()
+    function()
+    return time.perf_counter() - start
 
-    The two workloads alternate within every repetition so slow
-    machine-load drift hits both equally, and the minimum is the
-    sample least perturbed by scheduler noise — the overhead fraction
-    compares the paths' intrinsic costs rather than whichever block a
-    busy CI box happened to interrupt.
+
+def paired_seconds(bare_fn, wrapped_fn):
+    """``PAIRS`` back-to-back (bare, wrapped) wall-clock samples.
+
+    Each pair runs the two paths adjacently, so machine-load drift hits
+    both samples of a pair alike; the order inside the pair alternates
+    so neither path always runs second (warmer caches, later in a
+    scheduler slice).
     """
-    bare_samples, wrapped_samples = [], []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        bare_fn()
-        bare_samples.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        wrapped_fn()
-        wrapped_samples.append(time.perf_counter() - start)
-    return min(bare_samples), min(wrapped_samples)
+    pairs = []
+    for index in range(PAIRS):
+        if index % 2:
+            wrapped_s = _seconds(wrapped_fn)
+            bare_s = _seconds(bare_fn)
+        else:
+            bare_s = _seconds(bare_fn)
+            wrapped_s = _seconds(wrapped_fn)
+        pairs.append((bare_s, wrapped_s))
+    return np.array(pairs)
 
 
 def overhead_row(label, probes, bare_fn, wrapped_fn, parity_db):
-    bare_s, wrapped_s = best_seconds_interleaved(bare_fn, wrapped_fn)
+    """Overhead as the median of the per-pair ``wrapped / bare`` ratios.
+
+    A scheduler hiccup inflates one sample, and so one pair's ratio;
+    the median over the pairs ignores it, where a ratio of per-path
+    minima could pair a lucky bare sample with an unlucky wrapped one.
+    """
+    pairs = paired_seconds(bare_fn, wrapped_fn)
+    ratios = pairs[:, 1] / pairs[:, 0]
     return {
         "plane": label,
         "probes": probes,
-        "bare_ms": bare_s * 1e3,
-        "wrapped_ms": wrapped_s * 1e3,
-        "overhead_fraction": wrapped_s / bare_s - 1.0,
+        "pairs": PAIRS,
+        "bare_ms": float(np.median(pairs[:, 0])) * 1e3,
+        "wrapped_ms": float(np.median(pairs[:, 1])) * 1e3,
+        "overhead_fraction": float(np.median(ratios)) - 1.0,
         "max_error_db": parity_db,
     }
 
@@ -123,7 +137,9 @@ def test_bench_disabled_injection_overhead(benchmark):
 
     write_bench_rows(
         "disabled-injection resilience overhead", rows,
-        meta={"max_overhead_fraction": MAX_OVERHEAD_FRACTION})
+        meta={"max_overhead_fraction": MAX_OVERHEAD_FRACTION,
+              "statistic": "median of per-pair wrapped/bare ratios",
+              "pairs": PAIRS, "calls_per_sample": CALLS})
 
     for row in rows:
         assert row["max_error_db"] <= PARITY_DB, row

@@ -14,14 +14,13 @@ The absolute-throughput row times the serving plane's coalesced probe,
 and 512 stations, gated at <= 5 us per probe.
 """
 
-import os
-import platform
 import time
 
 import numpy as np
 
 from bench_utils import (
     assert_speedup,
+    machine_fingerprint,
     print_speedup_table,
     run_once,
     speedup_row,
@@ -213,9 +212,7 @@ def test_bench_probe_aligned_throughput(benchmark):
         "fleet probe_aligned absolute throughput", rows,
         meta={"max_us_per_probe": MAX_US_PER_PROBE,
               "repeats": PROBE_REPEATS, "statistic": "min",
-              "machine": {"cores": os.cpu_count(),
-                          "python": platform.python_version(),
-                          "numpy": np.__version__}})
+              "machine": machine_fingerprint()})
 
     for row in rows:
         assert row["us_per_probe"] <= MAX_US_PER_PROBE, row

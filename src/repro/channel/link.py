@@ -92,6 +92,34 @@ def _rotated_jones(antenna: Antenna, angles_deg: np.ndarray) -> np.ndarray:
                     rotated)
 
 
+def _redundant_axes(shape, *operands):
+    """Axes of ``shape`` along which every operand repeats one value.
+
+    The operands broadcast to ``shape`` (right-aligned); an axis is
+    redundant when each of them is a stride-0 broadcast along it, has
+    length 1 there or lacks it, while ``shape`` itself spans it.
+    """
+    redundant = [size > 1 for size in shape]
+    for operand in operands:
+        offset = len(shape) - operand.ndim
+        for axis, (size, stride) in enumerate(zip(operand.shape,
+                                                  operand.strides)):
+            if size > 1 and stride != 0:
+                redundant[offset + axis] = False
+    return redundant
+
+
+def _cut(operand, redundant, trailing=0):
+    """``operand`` with its ``redundant`` axes sliced to length 1.
+
+    ``trailing`` core axes (the 2 of a Jones vector) are kept whole.
+    """
+    leading = operand.ndim - trailing
+    offset = len(redundant) - leading
+    return operand[tuple(slice(0, 1) if redundant[offset + axis]
+                         else slice(None) for axis in range(leading))]
+
+
 class DeploymentMode(Enum):
     """How (and whether) the metasurface participates in the link."""
 
@@ -342,6 +370,18 @@ class WirelessLink:
         array of via-surface Jones fields, one per broadcast operating
         point.  ``tx_jones`` is an optional ``(..., 2)`` array of
         transmit Jones vectors (defaults to the configured antenna).
+
+        The surface's Jones matrix depends only on (frequency, Vx, Vy),
+        so the cascade runs on the distinct operating points only:
+        every axis along which ``vx``, ``vy`` and the frequency are all
+        stride-0 broadcasts (the controller's per-station copies of one
+        bias plane) is cut to length 1 (see :func:`_redundant_axes`),
+        as is ``tx_jones`` wherever it repeats too, so the contraction
+        also runs on the core.  The per-point path phasor, computed on
+        the frequency as given, broadcasts the result back.  Every cell
+        sees the same element-wise arithmetic, so the fields are
+        bit-identical to evaluating each cell; inputs without a zero
+        stride skip the analysis.
         """
         config = self._configuration
         shape = np.broadcast_shapes(
@@ -356,10 +396,21 @@ class WirelessLink:
         surface = config.metasurface
         frequency = (config.frequency_hz if frequency_hz is None
                      else frequency_hz)
+        core = (np.asarray(vx), np.asarray(vy), np.asarray(frequency))
+        if any(0 in operand.strides for operand in core):
+            if tx_jones is not None:
+                tx_jones = np.asarray(tx_jones)
+                tx_jones = _cut(tx_jones, _redundant_axes(
+                    shape, *core, tx_jones[..., 0]), trailing=1)
+            redundant = _redundant_axes(shape, *core)
+            core = tuple(_cut(operand, redundant) for operand in core)
+        core_vx, core_vy, core_frequency = core
         if config.deployment is DeploymentMode.TRANSMISSIVE:
-            jones = surface.jones_matrix_batch(frequency, vx, vy)
+            jones = surface.jones_matrix_batch(core_frequency, core_vx,
+                                               core_vy)
         else:
-            jones = surface.reflection_jones_matrix_batch(frequency, vx, vy)
+            jones = surface.reflection_jones_matrix_batch(
+                core_frequency, core_vx, core_vy)
         legs = (geometry.tx_to_surface_m + geometry.surface_to_rx_m
                 if via_distance_m is None else via_distance_m)
         # Antenna aiming convention (see _direct_fields): the surface

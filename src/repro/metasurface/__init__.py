@@ -20,7 +20,12 @@ from repro.metasurface.varactor import VaractorDiode, SMV1233
 from repro.metasurface.two_port import TwoPortNetwork, phase_shifter_bandwidth_hz
 from repro.metasurface.phase_shifter import PhaseShifterLayer
 from repro.metasurface.layers import QuarterWavePlateLayer, BirefringentLayer
-from repro.metasurface.surface import Metasurface, SurfaceMode, SurfaceResponse
+from repro.metasurface.surface import (
+    Metasurface,
+    PassivityError,
+    SurfaceMode,
+    SurfaceResponse,
+)
 from repro.metasurface.design import (
     MetasurfaceDesign,
     llama_design,
@@ -44,6 +49,7 @@ __all__ = [
     "QuarterWavePlateLayer",
     "BirefringentLayer",
     "Metasurface",
+    "PassivityError",
     "SurfaceMode",
     "SurfaceResponse",
     "MetasurfaceDesign",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -93,6 +94,30 @@ class QuarterWavePlateLayer:
         ideal = quarter_wave_plate(self.rotation_deg)
         return JonesMatrix(ideal.as_array() *
                            self.amplitude_factor(frequency_hz))
+
+
+@dataclass(frozen=True)
+class _LayerStack:
+    """One axis stack as its distinct layers plus the stacking order."""
+
+    distinct: Tuple[PhaseShifterLayer, ...]
+    order: Tuple[int, ...]
+
+    @staticmethod
+    def of(layers: Tuple[PhaseShifterLayer, ...]) -> "_LayerStack":
+        distinct = tuple(dict.fromkeys(layers))
+        return _LayerStack(distinct, tuple(distinct.index(layer)
+                                           for layer in layers))
+
+
+def _stack_response(stack: _LayerStack, frequency_hz,
+                    voltages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Summed phase (rad) and loss (dB) of an axis stack at ``voltages``."""
+    responses = [layer.response_batch(frequency_hz, voltages)
+                 for layer in stack.distinct]
+    phase_rad = sum(responses[index][0] for index in stack.order)
+    loss_db = sum(responses[index][1] for index in stack.order)
+    return phase_rad, loss_db
 
 
 @dataclass(frozen=True)
@@ -200,20 +225,30 @@ class BirefringentLayer:
         ``frequency_hz`` may be a scalar or an array that broadcasts
         against the voltage arrays, so a frequency axis sweeps in the
         same vectorized pass as a bias grid.
+
+        Each distinct layer of an axis stack is evaluated once, through
+        the fused :meth:`PhaseShifterLayer.response_batch` (one
+        resonance and one detuning shared by phase and loss); repeated
+        layers reuse that result, and the per-layer terms are summed in
+        stack order, so the diagonal is bit-identical to summing the
+        per-layer :meth:`~PhaseShifterLayer.transmission_phase_rad_batch`
+        and :meth:`~PhaseShifterLayer.insertion_loss_db_batch` results.
         """
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        phase_x = sum(layer.transmission_phase_rad_batch(frequency_hz, vx)
-                      for layer in self.x_layers)
-        phase_y = sum(layer.transmission_phase_rad_batch(frequency_hz, vy)
-                      for layer in self.y_layers)
-        loss_x_db = sum(layer.insertion_loss_db_batch(frequency_hz, vx)
-                        for layer in self.x_layers)
-        loss_y_db = sum(layer.insertion_loss_db_batch(frequency_hz, vy)
-                        for layer in self.y_layers)
+        phase_x, loss_x_db = _stack_response(
+            self._x_stack, frequency_hz, np.asarray(vx, dtype=float))
+        phase_y, loss_y_db = _stack_response(
+            self._y_stack, frequency_hz, np.asarray(vy, dtype=float))
         amp_x = 10.0 ** (-loss_x_db / 20.0)
         amp_y = 10.0 ** (-loss_y_db / 20.0)
         return amp_x * np.exp(1j * phase_x), amp_y * np.exp(1j * phase_y)
+
+    @cached_property
+    def _x_stack(self) -> _LayerStack:
+        return _LayerStack.of(self.x_layers)
+
+    @cached_property
+    def _y_stack(self) -> _LayerStack:
+        return _LayerStack.of(self.y_layers)
 
     def phase_difference_range_rad(self, frequency_hz: float,
                                    voltage_low_v: float = 0.0,

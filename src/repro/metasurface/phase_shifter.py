@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 import numpy as np
 
 from repro.metasurface.materials import SubstrateMaterial, FR4
 from repro.metasurface.varactor import VaractorDiode, SMV1233
+from repro.units import linear_to_db
 
 
 @dataclass(frozen=True)
@@ -126,20 +128,42 @@ class PhaseShifterLayer:
             np.asarray(bias_voltages_v, dtype=float))
         return 1.0 / (2.0 * math.pi * np.sqrt(self.inductance_h * capacitance))
 
-    def transmission_phase_rad_batch(self, frequency_hz,
-                                     bias_voltages_v: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`transmission_phase_rad` over voltage arrays.
+    def response_batch(self, frequency_hz, bias_voltages_v: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Transmission phase (rad) and insertion loss (dB) in one pass.
 
+        The fused per-layer expression: the tank resonance and the
+        normalised detuning ``f/fr - fr/f`` are evaluated once and
+        shared by the phase ``-arctan(k * detuning)`` and the loss
+        (dielectric dissipation plus the detuning mismatch loss).
+        :meth:`transmission_phase_rad_batch` and
+        :meth:`insertion_loss_db_batch` are views of it.
         ``frequency_hz`` may be a scalar or an array broadcastable
         against ``bias_voltages_v``, so whole frequency sweeps evaluate
         in the same pass as bias grids.
         """
+        detuning = self._detuning_batch(frequency_hz, bias_voltages_v)
+        phase_rad = -np.arctan(self.loading_factor * detuning)
+        loss_db = (self.dielectric_insertion_loss_db +
+                   self._detuning_loss_db(detuning))
+        return phase_rad, loss_db
+
+    def _detuning_batch(self, frequency_hz,
+                        bias_voltages_v: np.ndarray) -> np.ndarray:
+        """Normalised tank detuning ``f/fr - fr/f`` at each operating point."""
         frequency = np.asarray(frequency_hz, dtype=float)
         if np.any(frequency <= 0):
             raise ValueError("frequency must be positive")
         resonant = self.resonant_frequencies_hz_batch(bias_voltages_v)
-        detuning = frequency / resonant - resonant / frequency
-        return -np.arctan(self.loading_factor * detuning)
+        return frequency / resonant - resonant / frequency
+
+    def transmission_phase_rad_batch(self, frequency_hz,
+                                     bias_voltages_v: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`transmission_phase_rad` over voltage arrays.
+
+        The phase half of :meth:`response_batch`.
+        """
+        return self.response_batch(frequency_hz, bias_voltages_v)[0]
 
     def transmission_phase_deg(self, frequency_hz: float,
                                bias_voltage_v: float) -> float:
@@ -177,12 +201,12 @@ class PhaseShifterLayer:
         be a scalar or an array broadcastable against
         ``bias_voltages_v``.
         """
-        frequency = np.asarray(frequency_hz, dtype=float)
-        if np.any(frequency <= 0):
-            raise ValueError("frequency must be positive")
-        resonant = self.resonant_frequencies_hz_batch(bias_voltages_v)
-        detuning = frequency / resonant - resonant / frequency
-        return 10.0 * np.log10(
+        return self._detuning_loss_db(
+            self._detuning_batch(frequency_hz, bias_voltages_v))
+
+    def _detuning_loss_db(self, detuning: np.ndarray) -> np.ndarray:
+        """Mismatch loss (dB) at a given normalised detuning."""
+        return linear_to_db(
             1.0 + (self.detuning_loss_coefficient * detuning) ** 2)
 
     def detuning_loss_db(self, frequency_hz: float,
@@ -214,11 +238,9 @@ class PhaseShifterLayer:
 
         Always includes the voltage-dependent detuning mismatch loss,
         matching the scalar call with an explicit ``bias_voltage_v``.
-        ``frequency_hz`` may be a scalar or an array broadcastable
-        against ``bias_voltages_v``.
+        The loss half of :meth:`response_batch`.
         """
-        return (self.dielectric_insertion_loss_db +
-                self.detuning_loss_db_batch(frequency_hz, bias_voltages_v))
+        return self.response_batch(frequency_hz, bias_voltages_v)[1]
 
     # ------------------------------------------------------------------ #
     # Complex transmission coefficient

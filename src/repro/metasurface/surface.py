@@ -40,6 +40,44 @@ from repro.core.jones import JonesMatrix, JonesVector
 from repro.metasurface.layers import BirefringentLayer, QuarterWavePlateLayer
 
 
+#: Round-off allowance of the passivity check: a lossless stack can
+#: land an ulp above unit efficiency without gaining power.
+PASSIVITY_TOLERANCE = 1e-12
+
+
+class PassivityError(ValueError):
+    """A surface response delivered more power than it received.
+
+    Every layer of the stack is lossy or lossless and the reflective
+    mix is a convex combination of passive paths, so the largest
+    singular value of any Jones matrix is at most one; an efficiency
+    above one means the model itself is broken, and it is reported
+    rather than clamped.
+    """
+
+
+def _linear_excitation(excitation: str) -> JonesVector:
+    """The unit x- or y-polarized incident wave."""
+    if excitation not in ("x", "y"):
+        raise ValueError("excitation must be 'x' or 'y'")
+    return (JonesVector.horizontal() if excitation == "x"
+            else JonesVector.vertical())
+
+
+def _passive_efficiency(jones: JonesMatrix, incident: JonesVector) -> float:
+    """Power efficiency of ``jones`` for a unit-power ``incident`` wave.
+
+    Raises :class:`PassivityError` when it exceeds one (beyond
+    :data:`PASSIVITY_TOLERANCE`).
+    """
+    efficiency = float(jones.apply(incident).intensity)
+    if efficiency > 1.0 + PASSIVITY_TOLERANCE:
+        raise PassivityError(
+            f"surface response is not passive: efficiency {efficiency!r} "
+            f"exceeds 1")
+    return efficiency
+
+
 class SurfaceMode(Enum):
     """Deployment mode of the metasurface (paper Fig. 14)."""
 
@@ -318,13 +356,11 @@ class Metasurface:
 
         Implements paper Eq. 11: the sum of co- and cross-polarized
         transmitted power fractions for a unit-power incident wave.
+        Raises :class:`PassivityError` if it exceeds one.
         """
-        if excitation not in ("x", "y"):
-            raise ValueError("excitation must be 'x' or 'y'")
-        jones = self.jones_matrix(frequency_hz, vx, vy)
-        incident = (JonesVector.horizontal() if excitation == "x"
-                    else JonesVector.vertical())
-        return float(min(1.0, jones.apply(incident).intensity))
+        incident = _linear_excitation(excitation)
+        return _passive_efficiency(self.jones_matrix(frequency_hz, vx, vy),
+                                   incident)
 
     def transmission_efficiency_db(self, frequency_hz: float, vx: float,
                                    vy: float, excitation: str = "x") -> float:
@@ -374,13 +410,13 @@ class Metasurface:
 
     def reflection_efficiency(self, frequency_hz: float, vx: float,
                               vy: float, excitation: str = "x") -> float:
-        """Power reflection efficiency for a linearly polarized excitation."""
-        if excitation not in ("x", "y"):
-            raise ValueError("excitation must be 'x' or 'y'")
-        jones = self.reflection_jones_matrix(frequency_hz, vx, vy)
-        incident = (JonesVector.horizontal() if excitation == "x"
-                    else JonesVector.vertical())
-        return float(min(1.0, jones.apply(incident).intensity))
+        """Power reflection efficiency for a linearly polarized excitation.
+
+        Raises :class:`PassivityError` if it exceeds one.
+        """
+        incident = _linear_excitation(excitation)
+        return _passive_efficiency(
+            self.reflection_jones_matrix(frequency_hz, vx, vy), incident)
 
     # ------------------------------------------------------------------ #
     # Mode dispatch and bookkeeping
@@ -436,4 +472,4 @@ class Metasurface:
         return self.leakage_current_a * bias_voltage_v
 
 
-__all__ = ["Metasurface", "SurfaceMode", "SurfaceResponse"]
+__all__ = ["Metasurface", "PassivityError", "SurfaceMode", "SurfaceResponse"]

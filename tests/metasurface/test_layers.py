@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.metasurface.design import llama_design, rogers_reference_design
 from repro.metasurface.layers import BirefringentLayer, QuarterWavePlateLayer
 from repro.metasurface.materials import FR4, ROGERS_5880
 from repro.metasurface.phase_shifter import PhaseShifterLayer
+from repro.units import db_to_amplitude
 
 
 @pytest.fixture()
@@ -128,3 +130,76 @@ class TestBirefringentLayer:
         bfs = BirefringentLayer.symmetric(PhaseShifterLayer())
         matrix = bfs.jones_matrix(2.44e9, vx, vy).as_array()
         assert np.all(np.abs(np.diag(matrix)) <= 1.0 + 1e-12)
+
+
+def _summed_public_diagonal(bfs, frequency_hz, vx, vy):
+    """``diagonal_batch`` rebuilt by summing the per-layer public methods."""
+    phase_x = sum(layer.transmission_phase_rad_batch(frequency_hz, vx)
+                  for layer in bfs.x_layers)
+    phase_y = sum(layer.transmission_phase_rad_batch(frequency_hz, vy)
+                  for layer in bfs.y_layers)
+    loss_x_db = sum(layer.insertion_loss_db_batch(frequency_hz, vx)
+                    for layer in bfs.x_layers)
+    loss_y_db = sum(layer.insertion_loss_db_batch(frequency_hz, vy)
+                    for layer in bfs.y_layers)
+    return (db_to_amplitude(-loss_x_db) * np.exp(1j * phase_x),
+            db_to_amplitude(-loss_y_db) * np.exp(1j * phase_y))
+
+
+def _mixed_stack():
+    thin = PhaseShifterLayer(thickness_m=0.5e-3, loading_factor=0.7)
+    thick = PhaseShifterLayer(inductance_h=3.6e-9)
+    return BirefringentLayer(x_layers=(thin, thin, thick),
+                             y_layers=(thick, thick))
+
+
+class TestFusedDiagonal:
+    """One resonance per distinct layer, bit-identical to per-layer sums."""
+
+    FREQUENCY = np.array([[2.30e9], [2.44e9], [2.60e9]])
+    VX = np.linspace(0.0, 30.0, 11)
+    VY = np.linspace(30.0, 0.0, 11)
+
+    @pytest.mark.parametrize("bfs", [
+        llama_design().build().birefringent,
+        rogers_reference_design().build().birefringent,
+        BirefringentLayer.symmetric(PhaseShifterLayer(), layers_per_axis=3,
+                                    y_axis_inductance_scale=1.3),
+        _mixed_stack(),
+    ], ids=["llama", "rogers", "asymmetric", "mixed"])
+    @pytest.mark.parametrize("frequency", [2.44e9, FREQUENCY],
+                             ids=["scalar", "column"])
+    def test_equals_summed_public_methods(self, bfs, frequency):
+        fused = bfs.diagonal_batch(frequency, self.VX, self.VY)
+        reference = _summed_public_diagonal(bfs, frequency, self.VX, self.VY)
+        for axis in range(2):
+            assert np.array_equal(fused[axis], reference[axis])
+
+    def test_each_distinct_layer_resonates_once(self, monkeypatch):
+        calls = []
+        original = PhaseShifterLayer.resonant_frequencies_hz_batch
+
+        def counting(layer, bias_voltages_v):
+            calls.append(layer)
+            return original(layer, bias_voltages_v)
+
+        monkeypatch.setattr(PhaseShifterLayer,
+                            "resonant_frequencies_hz_batch", counting)
+        bfs = llama_design().build().birefringent
+        bfs.diagonal_batch(2.44e9, self.VX, self.VY)
+        assert calls == [bfs.x_layers[0], bfs.y_layers[0]]
+        calls.clear()
+        _mixed_stack().diagonal_batch(2.44e9, self.VX, self.VY)
+        assert len(calls) == 3
+
+    def test_response_batch_halves_are_the_public_views(self):
+        layer = PhaseShifterLayer()
+        phase_rad, loss_db = layer.response_batch(self.FREQUENCY, self.VX)
+        assert np.array_equal(
+            phase_rad, layer.transmission_phase_rad_batch(self.FREQUENCY,
+                                                          self.VX))
+        assert np.array_equal(
+            loss_db, layer.insertion_loss_db_batch(self.FREQUENCY, self.VX))
+        assert np.array_equal(
+            loss_db, layer.dielectric_insertion_loss_db +
+            layer.detuning_loss_db_batch(self.FREQUENCY, self.VX))

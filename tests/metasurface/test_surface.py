@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.jones import JonesVector
+from repro.core.jones import JonesMatrix, JonesVector
 from repro.units import linear_to_db
-from repro.metasurface.design import llama_design
-from repro.metasurface.surface import SurfaceMode
+from repro.metasurface.design import (
+    fr4_naive_design,
+    llama_design,
+    rogers_reference_design,
+)
+from repro.metasurface.surface import Metasurface, PassivityError, SurfaceMode
 
 voltages = st.floats(min_value=0.0, max_value=30.0)
 
@@ -229,3 +233,50 @@ class TestFrequencyFlatQwpMatrices:
         flipped = replace(ideal_surface, front_qwp=ideal_surface.back_qwp)
         np.testing.assert_array_equal(flipped._qwp_matrices[0],
                                       ideal_surface._qwp_matrices[1])
+
+
+class TestPassivity:
+    """A passive stack never delivers more power than it receives."""
+
+    FREQUENCY = np.linspace(2.0e9, 2.8e9, 17)[:, None, None]
+    VOLTAGES = np.linspace(0.0, 30.0, 16)
+
+    @pytest.mark.parametrize("design", [llama_design, rogers_reference_design,
+                                        fr4_naive_design])
+    @pytest.mark.parametrize("prototype", [False, True])
+    @pytest.mark.parametrize("mode", list(SurfaceMode))
+    def test_largest_singular_value_at_most_one(self, design, prototype,
+                                                mode):
+        surface = design().build(prototype=prototype)
+        batch = (surface.jones_matrix_batch
+                 if mode is SurfaceMode.TRANSMISSIVE
+                 else surface.reflection_jones_matrix_batch)
+        jones = batch(self.FREQUENCY, self.VOLTAGES[:, None], self.VOLTAGES)
+        assert jones.shape == (17, 16, 16, 2, 2)
+        sigma_max = np.linalg.svd(jones, compute_uv=False)[..., 0]
+        assert np.all(sigma_max <= 1.0)
+        assert 0.0 < np.min(sigma_max)
+
+    def test_llama_peak_gain_well_inside_the_bound(self, ideal_surface):
+        jones = ideal_surface.jones_matrix_batch(
+            self.FREQUENCY, self.VOLTAGES[:, None], self.VOLTAGES)
+        sigma_max = np.linalg.svd(jones, compute_uv=False)[..., 0]
+        assert 0.7 < np.max(sigma_max) < 0.8
+
+    @pytest.mark.parametrize("method", ["transmission_efficiency",
+                                        "reflection_efficiency"])
+    def test_gain_raises_instead_of_clamping(self, monkeypatch,
+                                             prototype_surface, method):
+        amplifying = JonesMatrix(1.5 * np.eye(2, dtype=complex))
+        monkeypatch.setattr(Metasurface, "jones_matrix",
+                            lambda self, f, vx, vy: amplifying)
+        monkeypatch.setattr(Metasurface, "reflection_jones_matrix",
+                            lambda self, f, vx, vy: amplifying)
+        with pytest.raises(PassivityError, match="not passive"):
+            getattr(prototype_surface, method)(2.44e9, 5.0, 5.0, "y")
+
+    def test_efficiency_is_the_unclamped_intensity(self, prototype_surface):
+        jones = prototype_surface.jones_matrix(2.44e9, 7.0, 22.0)
+        expected = jones.apply(JonesVector.horizontal()).intensity
+        assert prototype_surface.transmission_efficiency(
+            2.44e9, 7.0, 22.0, "x") == expected
