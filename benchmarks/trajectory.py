@@ -2,16 +2,16 @@
 
 Every benchmark module appends its measured rows here instead of only
 printing tables, so the repository carries a machine-readable record of
-wall-clock, speedup, grid shape and worker count for each PR — the
+wall-clock, speedup and grid shape for each PR — the
 ``run_table.csv`` discipline applied to this repo's benchmarks.  The
 archive for the current PR lives at the repo root as
 ``BENCH_{CURRENT_PR}.json``::
 
-    {"pr": 8,
+    {"pr": 10,
      "benchmarks": [
-        {"benchmark": "parallel run-all",
-         "meta": {"workers": 4},
-         "rows": [{"label": ..., "wall_s": ..., "speedup_x": ...}, ...]},
+        {"benchmark": "warm result store vs cold compute",
+         "meta": {"min_speedup_x": 10.0},
+         "rows": [{"label": ..., "slow_ms": ..., "speedup_x": ...}, ...]},
         ...]}
 
 ``python -m repro.experiments bench-report`` renders every

@@ -60,7 +60,8 @@ from repro.api.fleet import (
     TopologySpec,
 )
 from repro.api.session import LinkSession
-from repro.channel.grid import GRID_AXES, GridAxis, ProbeGrid, SWEEP_AXES
+from repro.channel.grid import (GRID_AXES, GridAxis, ProbeGrid,
+                               ProbeGridError, SWEEP_AXES)
 from repro.faults import (
     FaultSchedule,
     FaultSpec,
@@ -82,9 +83,7 @@ _EXPERIMENT_EXPORTS = {
     "ExperimentResult": ("repro.experiments.runner", "ExperimentResult"),
     "Runner": ("repro.experiments.runner", "Runner"),
     "ResultStore": ("repro.experiments.store", "ResultStore"),
-    "ProgressReporter": ("repro.experiments.parallel", "ProgressReporter"),
-    "evaluate_grid_sharded": ("repro.experiments.parallel",
-                              "evaluate_grid_sharded"),
+    "ProgressReporter": ("repro.experiments.runner", "ProgressReporter"),
 }
 
 #: Serving-layer exports, also lazy: the service facade sits *above*
@@ -121,6 +120,7 @@ __all__ = [
     "GRID_AXES",
     "GridAxis",
     "ProbeGrid",
+    "ProbeGridError",
     "SWEEP_AXES",
     "OrientationMeasureCallback",
     "OrientationMeasurementBackend",
@@ -150,7 +150,6 @@ __all__ = [
     "Runner",
     "ResultStore",
     "ProgressReporter",
-    "evaluate_grid_sharded",
     "LoadProfile",
     "RequestMix",
     "RequestTrace",

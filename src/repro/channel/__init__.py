@@ -32,6 +32,7 @@ from repro.channel.grid import (
     GRID_AXES,
     GridAxis,
     ProbeGrid,
+    ProbeGridError,
     SWEEP_AXES,
     VOLTAGE_AXES,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "GRID_AXES",
     "GridAxis",
     "ProbeGrid",
+    "ProbeGridError",
     "SWEEP_AXES",
     "VOLTAGE_AXES",
     "DeploymentMode",

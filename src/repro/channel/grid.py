@@ -22,14 +22,16 @@ Two layouts cover every workload:
   controller probes per-point voltage windows this way: axis values
   shaped ``(n, 1)`` against ``(n, k)`` voltage grids).
 
-Grids are immutable and validate their axis names on construction, so a
-typo fails loudly at build time rather than deep inside the engine.
+Grids are immutable and validate their axes on construction: a typo'd
+axis name, a non-finite axis value (NaN, ±inf) or a multi-dimensional
+:meth:`~ProbeGrid.product` axis fails loudly at build time rather than
+as a silent NaN or a flattened shape deep inside the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -49,6 +51,18 @@ VOLTAGE_AXES = ("vx", "vy")
 
 #: Every axis name a :class:`ProbeGrid` accepts.
 GRID_AXES = VOLTAGE_AXES + SWEEP_AXES
+
+
+class ProbeGridError(ValueError):
+    """A probe grid built from values the engine cannot evaluate."""
+
+
+def _finite(name: str, values: AxisValues) -> FloatArray:
+    """``values`` as float64, raising :class:`ProbeGridError` on NaN/inf."""
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ProbeGridError(f"grid axis {name!r} has non-finite values")
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +122,18 @@ class ProbeGrid:
     def product(cls, **axes: AxisValues) -> "ProbeGrid":
         """Outer-product grid over named axis values.
 
-        Each array-valued axis is flattened to 1-D and occupies its own
-        dimension of the grid, in keyword order (the first axis is the
-        leading dimension).  Scalar (0-d) values pin the axis without
-        adding a dimension::
+        Each 1-D axis occupies its own dimension of the grid, in keyword
+        order (the first axis is the leading dimension).  Scalar (0-d)
+        values pin the axis without adding a dimension::
 
             ProbeGrid.product(frequency=freqs, distance=dists)  # 2-D
             ProbeGrid.product(frequency=2.45e9, vx=vs, vy=vs)   # 2-D
+
+        Raises :class:`ProbeGridError` for an axis with more than one
+        dimension or with non-finite values.
         """
         specs: List[Tuple[str, FloatArray]] = [
-            (name, np.asarray(values, dtype=np.float64))
-            for name, values in axes.items()]
+            (name, _finite(name, values)) for name, values in axes.items()]
         rank = sum(1 for _name, values in specs if values.ndim > 0)
         built: List[GridAxis] = []
         position = 0
@@ -126,6 +141,11 @@ class ProbeGrid:
             if values.ndim == 0:
                 built.append(GridAxis(name=name, values=values, shaped=values))
                 continue
+            if values.ndim > 1:
+                raise ProbeGridError(
+                    f"product axis {name!r} must be a scalar or 1-D, got "
+                    f"shape {values.shape}; use ProbeGrid.aligned for "
+                    f"pre-shaped axes")
             flat = values.ravel()
             shaped = flat.reshape((flat.size,) + (1,) * (rank - position - 1))
             built.append(GridAxis(name=name, values=flat, shaped=shaped))
@@ -142,11 +162,12 @@ class ProbeGrid:
 
             ProbeGrid.aligned(tx_power=powers[:, None], vx=grid_vx,
                               vy=grid_vy)
+
+        Raises :class:`ProbeGridError` for an axis with non-finite values.
         """
-        built = tuple(
-            GridAxis(name=name, values=np.asarray(values, dtype=np.float64),
-                     shaped=np.asarray(values, dtype=np.float64))
-            for name, values in axes.items())
+        arrays = {name: _finite(name, values) for name, values in axes.items()}
+        built = tuple(GridAxis(name=name, values=array, shaped=array)
+                      for name, array in arrays.items())
         grid = cls(axes=built)
         grid.shape  # validate broadcastability eagerly
         return grid
@@ -231,89 +252,6 @@ class ProbeGrid:
         return {axis.name: self.expand(axis.name).ravel()
                 for axis in self.axes}
 
-    # ------------------------------------------------------------------ #
-    # Sharding (the parallel executor's slice plan)
-    # ------------------------------------------------------------------ #
-    def split_dim(self) -> Optional[int]:
-        """The result dimension :meth:`split` shards along.
 
-        The first dimension of :attr:`shape` with the largest extent, or
-        ``None`` when the grid has no dimension longer than one point
-        (0-d grids, all-singleton shapes) — such grids cannot be split.
-        """
-        shape = self.shape
-        if not shape or max(shape) <= 1:
-            return None
-        return int(np.argmax(shape))
-
-    def largest_axis(self) -> Optional[str]:
-        """Name of the first axis spanning the longest grid dimension.
-
-        This is the axis the parallel executor shards along: slicing its
-        points slices the evaluation result along :meth:`split_dim`.
-        ``None`` when the grid is unsplittable (see :meth:`split_dim`).
-        """
-        dim = self.split_dim()
-        if dim is None:
-            return None
-        for axis in self.axes:
-            if self._extent_at(axis, dim) > 1:
-                return axis.name
-        return None
-
-    def _extent_at(self, axis: GridAxis, dim: int) -> int:
-        """``axis``'s extent along result dimension ``dim`` (broadcast
-        semantics: missing leading dimensions count as one)."""
-        offset = dim - (self.ndim - axis.shaped.ndim)
-        if offset < 0:
-            return 1
-        return int(axis.shaped.shape[offset])
-
-    def _sliced(self, axis: GridAxis, dim: int, lo: int, hi: int) -> GridAxis:
-        """``axis`` restricted to ``[lo, hi)`` along result dim ``dim``
-        (axes broadcasting over that dimension are returned unchanged)."""
-        offset = dim - (self.ndim - axis.shaped.ndim)
-        if offset < 0 or axis.shaped.shape[offset] == 1:
-            return axis
-        index = (slice(None),) * offset + (slice(lo, hi),)
-        shaped = axis.shaped[index]
-        if axis.values.shape == axis.shaped.shape:
-            values = axis.values[index]
-        elif (axis.values.ndim == 1 and
-              axis.values.size == axis.shaped.shape[offset]):
-            # Product-style axis: the flat points own this dimension.
-            values = axis.values[lo:hi]
-        else:
-            values = shaped
-        return GridAxis(name=axis.name, values=values, shaped=shaped)
-
-    def split(self, parts: int) -> Tuple["ProbeGrid", ...]:
-        """Shard the grid into at most ``parts`` contiguous slices.
-
-        The grid is cut along :meth:`split_dim` (the longest dimension,
-        owned by :meth:`largest_axis`) into near-equal contiguous
-        chunks; each shard is a valid :class:`ProbeGrid` over the same
-        axes.  Concatenating the shards' evaluation results along
-        ``split_dim()`` — in order — reproduces the full grid's result
-        bit-for-bit, which is the reassembly contract of
-        :func:`repro.experiments.parallel.evaluate_grid_sharded`.
-        Unsplittable grids and ``parts <= 1`` return ``(self,)``.
-        """
-        if parts <= 1:
-            return (self,)
-        dim = self.split_dim()
-        if dim is None:
-            return (self,)
-        extent = self.shape[dim]
-        chunks = min(parts, extent)
-        bounds = np.linspace(0, extent, chunks + 1).astype(int)
-        shards: List[ProbeGrid] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            shards.append(ProbeGrid(axes=tuple(
-                self._sliced(axis, dim, int(lo), int(hi))
-                for axis in self.axes)))
-        return tuple(shards)
-
-
-__all__ = ["GRID_AXES", "GridAxis", "ProbeGrid", "SWEEP_AXES",
-           "VOLTAGE_AXES"]
+__all__ = ["GRID_AXES", "GridAxis", "ProbeGrid", "ProbeGridError",
+           "SWEEP_AXES", "VOLTAGE_AXES"]

@@ -38,15 +38,12 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import (
     ExperimentResult,
+    ProgressReporter,
     Runner,
     default_runner,
     run_experiment,
 )
 from repro.experiments.store import ResultStore, code_fingerprint
-from repro.experiments.parallel import (
-    ProgressReporter,
-    evaluate_grid_sharded,
-)
 from repro.experiments import figures
 from repro.experiments import robustness
 from repro.experiments import serving
@@ -75,7 +72,6 @@ __all__ = [
     "ResultStore",
     "ProgressReporter",
     "code_fingerprint",
-    "evaluate_grid_sharded",
     "default_runner",
     "run_experiment",
     "figures",

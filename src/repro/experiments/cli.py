@@ -7,12 +7,11 @@
 * ``run NAME [--set k=v] [--smoke] [--json PATH] [--check]`` — run one
   experiment, print its summary, optionally archive the serialized
   :class:`~repro.experiments.runner.ExperimentResult`.
-* ``run-all [--tag TAG] [--smoke] [--workers N] [--store DIR]
-  [--json-dir DIR] [--check]`` — run a tag's worth (or everything)
-  with a live claimed/done/ETA progress line; ``--workers`` shards the
-  suite across a multiprocess pool, ``--store`` attaches the
-  persistent result store so warm re-runs skip anything already
-  computed.
+* ``run-all [--tag TAG] [--smoke] [--store DIR] [--json-dir DIR]
+  [--check]`` — run a tag's worth (or everything) serially in registry
+  order with a live claimed/done/ETA progress line; ``--store``
+  attaches the persistent result store so warm re-runs skip anything
+  already computed.
 * ``coverage [--json PATH]``      — which scenarios,
   :data:`~repro.channel.grid.SWEEP_AXES` and ``repro`` modules the
   registered suite exercises, and what remains uncovered.
@@ -37,7 +36,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.channel.grid import SWEEP_AXES
-from repro.experiments.parallel import ProgressReporter
 from repro.experiments.registry import (
     MODULE_NAMES,
     REGISTRY,
@@ -47,7 +45,7 @@ from repro.experiments.registry import (
     UnknownExperimentError,
 )
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import Runner
+from repro.experiments.runner import ProgressReporter, Runner
 
 
 def _parse_overrides(spec, assignments: Sequence[str]) -> Dict[str, object]:
@@ -101,7 +99,7 @@ def _cmd_run(registry: ExperimentRegistry, name: str,
 
 def _cmd_run_all(registry: ExperimentRegistry, tag: Optional[str],
                  smoke: bool, json_dir: Optional[str], check: bool,
-                 workers: int, store_dir: Optional[str]) -> int:
+                 store_dir: Optional[str]) -> int:
     runner = Runner(registry, store=store_dir)
     specs = registry.all(tag)
     if not specs:
@@ -112,8 +110,7 @@ def _cmd_run_all(registry: ExperimentRegistry, tag: Optional[str],
         directory.mkdir(parents=True, exist_ok=True)
     progress = ProgressReporter(total=len(specs), label="run-all")
     start = time.perf_counter()
-    results = runner.run_all(tag=tag, smoke=smoke, workers=workers,
-                             progress=progress)
+    results = runner.run_all(tag=tag, smoke=smoke, progress=progress)
     elapsed = time.perf_counter() - start
     failures: List[str] = []
     for result in results:
@@ -128,8 +125,7 @@ def _cmd_run_all(registry: ExperimentRegistry, tag: Optional[str],
             (directory / f"{result.name}.json").write_text(
                 result.to_json(indent=2))
     mode = "smoke" if smoke else "full"
-    pool = f", {workers} workers" if workers and workers > 1 else ""
-    print(f"\nran {len(specs)} experiments ({mode} parameters{pool}) "
+    print(f"\nran {len(specs)} experiments ({mode} parameters) "
           f"in {elapsed:.2f}s: {progress.computed} computed, "
           f"{progress.cached} cached"
           + (f"; archived to {directory}" if directory else ""))
@@ -393,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="archive one JSON result per experiment")
     run_all_cmd.add_argument("--check", action="store_true",
                              help="run every spec's shape assertions")
-    run_all_cmd.add_argument("--workers", type=int, default=0,
-                             help="shard across N worker processes "
-                                  "(0/1 = serial)")
     run_all_cmd.add_argument("--store", dest="store_dir", default=None,
                              help="persistent result-store directory; "
                                   "already-computed runs are skipped")
@@ -471,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None,
         if arguments.command == "run-all":
             return _cmd_run_all(registry, arguments.tag, arguments.smoke,
                                 arguments.json_dir, arguments.check,
-                                arguments.workers, arguments.store_dir)
+                                arguments.store_dir)
         if arguments.command == "bench-report":
             return _cmd_bench_report(arguments.directory,
                                      arguments.json_path)

@@ -6,11 +6,11 @@ cache: a per-instance in-memory dict in front of an optional persistent
 :class:`~repro.experiments.store.ResultStore` on disk (one entry per
 distinct ``(experiment, resolved-parameters, code fingerprint)``), so
 ``run_many``/``run_all`` never recompute a result two entry points
-share — across processes and across sessions when a store is attached
-— and module-level :func:`run_experiment` calls share one default
-runner's cache.  ``run_all(workers=N)`` delegates to the
-sharded multiprocess executor in :mod:`repro.experiments.parallel`;
-``workers`` absent/0/1 is the exact serial identity path.
+share — across sessions when a store is attached — and module-level
+:func:`run_experiment` calls share one default runner's cache.
+``run_all`` runs the selection serially in registry order and reports
+each experiment to a :class:`ProgressReporter` (the ``run-all`` live
+progress line).
 
 Every run returns an :class:`ExperimentResult` envelope: the spec, the
 fully-resolved parameters and the payload, with a ``to_dict`` /
@@ -23,8 +23,12 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, TextIO, Tuple, Union)
 
 from repro.experiments import artifacts
 from repro.experiments.registry import (
@@ -34,9 +38,6 @@ from repro.experiments.registry import (
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.store import ResultStore
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.parallel import ProgressReporter
 
 
 def _content_key(name: str, params: Mapping[str, Any]) -> str:
@@ -137,14 +138,129 @@ class ExperimentResult:
         return cls.from_dict(json.loads(text), registry=registry)
 
 
+class ProgressReporter:
+    """Claimed/done/total slice accounting with a live ETA line.
+
+    On a TTY the line redraws in place (``\\r``); on plain streams every
+    completion prints a full line, so CI logs keep the history.
+    :meth:`Runner.run_all` drives it with one slice per experiment.
+    """
+
+    def __init__(self, total: int, label: str = "run-all",
+                 stream: Optional[TextIO] = None,
+                 enabled: bool = True,
+                 clock: Optional[Callable[[], float]] = None) -> None:
+        # A negative total is a caller bug, but the reporter is pure
+        # accounting — clamp rather than poison every later division.
+        self.total = max(0, int(total))
+        self.label = label
+        self.stream = stream if stream is not None else sys.stdout
+        self.enabled = bool(enabled)
+        self.claimed = 0
+        self.done = 0
+        self.computed = 0
+        self.cached = 0
+        self.failed = 0
+        self._clock = clock if clock is not None else time.perf_counter
+        self._started = self._clock()
+        self._live_line = False
+
+    # -------------------------------------------------------------- #
+    # Events
+    # -------------------------------------------------------------- #
+    def claim(self, name: str = "") -> None:
+        """One slice was handed to the run loop."""
+        self.claimed += 1
+        self._render(f"claimed {name}" if name else "claimed")
+
+    def finish(self, name: str, status: str = "ok",
+               elapsed: Optional[float] = None) -> None:
+        """One slice completed; ``status`` is ``ok``/``cached``/...."""
+        self.done += 1
+        if status == "cached":
+            self.cached += 1
+        elif status.startswith("fail") or status.startswith("CHECK"):
+            self.failed += 1
+            self.computed += 1
+        else:
+            self.computed += 1
+        timing = f" {elapsed:7.2f}s" if elapsed is not None else ""
+        self._print_line(f"{name:24s}{timing}  {status}")
+        self._render("")
+
+    @contextmanager
+    def timed(self, name: str, status: str = "ok") -> Iterator[None]:
+        """Time one serial slice and emit its completion line."""
+        start = self._clock()
+        yield
+        self.finish(name, status=status,
+                    elapsed=max(0.0, self._clock() - start))
+
+    # -------------------------------------------------------------- #
+    # Rendering
+    # -------------------------------------------------------------- #
+    def eta_seconds(self) -> Optional[float]:
+        """Estimated seconds to completion (``None`` before any data).
+
+        Never negative: a clock stepping backwards (NTP slew, frozen
+        test clocks) clamps elapsed time to zero, and completions past
+        ``total`` (double-counted slices) clamp the remainder.
+        """
+        if self.done == 0 or self.total == 0:
+            return None
+        elapsed = max(0.0, self._clock() - self._started)
+        remaining = max(0, self.total - self.done)
+        return elapsed / self.done * remaining
+
+    def line(self, suffix: str = "") -> str:
+        """The live progress line."""
+        eta = self.eta_seconds()
+        eta_text = f"{eta:.1f}s" if eta is not None else "--"
+        text = (f"[{self.label}] claimed {self.claimed}/{self.total}  "
+                f"done {self.done}/{self.total}  eta {eta_text}")
+        return f"{text}  {suffix}" if suffix else text
+
+    def summary(self) -> str:
+        """Post-run accounting (the CLI's closing line)."""
+        elapsed = max(0.0, self._clock() - self._started)
+        return (f"{self.done}/{self.total} slices in {elapsed:.2f}s "
+                f"({self.computed} computed, {self.cached} cached)")
+
+    def _is_tty(self) -> bool:
+        return bool(getattr(self.stream, "isatty", lambda: False)())
+
+    def _render(self, suffix: str) -> None:
+        if not self.enabled:
+            return
+        if self._is_tty():
+            self.stream.write("\r\x1b[2K" + self.line(suffix))
+            if self.done >= self.total:
+                self.stream.write("\n")
+                self._live_line = False
+            else:
+                self._live_line = True
+            self.stream.flush()
+        else:
+            self.stream.write(self.line(suffix) + "\n")
+            self.stream.flush()
+
+    def _print_line(self, text: str) -> None:
+        if not self.enabled:
+            return
+        if self._live_line:
+            self.stream.write("\r\x1b[2K")
+            self._live_line = False
+        self.stream.write(text + "\n")
+        self.stream.flush()
+
+
 class Runner:
     """Executes registered experiments with overrides and caching.
 
     ``store`` attaches the persistent disk tier: a
     :class:`~repro.experiments.store.ResultStore` instance or a
     directory path for one.  Lookups go memory → store → compute, and
-    every computed (or externally :meth:`absorb`\\ ed) result is written
-    back through both tiers.
+    every computed result is written back through both tiers.
     """
 
     def __init__(self, registry: Optional[ExperimentRegistry] = None,
@@ -166,25 +282,10 @@ class Runner:
         if write_store and self.store is not None:
             self.store.put(result)
 
-    def absorb(self, result: ExperimentResult) -> None:
-        """Adopt an externally computed result into both cache tiers.
-
-        The parallel executor calls this with results its worker
-        processes computed, so the parent runner's memory cache and
-        store end up exactly as if :meth:`run` had computed them here.
-        """
-        key = _content_key(result.name, result.params)
-        self._remember(key, _isolated(result))
-
-    def resolved_params(self, name: str, smoke: bool = False,
-                        **overrides: Any) -> Dict[str, Any]:
-        """The fully-resolved parameter dict :meth:`run` would use."""
-        return self.registry.get(name).resolve(overrides, smoke=smoke)
-
     def cached(self, name: str, smoke: bool = False,
                **overrides: Any) -> bool:
         """Would :meth:`run` be served from a cache tier right now?"""
-        params = self.resolved_params(name, smoke=smoke, **overrides)
+        params = self.registry.get(name).resolve(overrides, smoke=smoke)
         key = _content_key(name, params)
         if self._cache_enabled and key in self._cache:
             return True
@@ -233,30 +334,21 @@ class Runner:
 
     def run_all(self, tag: Optional[str] = None,
                 smoke: bool = False,
-                workers: Optional[int] = None,
                 overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
-                progress: Optional["ProgressReporter"] = None,
-                mp_context: Optional[str] = None) -> List[ExperimentResult]:
+                progress: Optional[ProgressReporter] = None
+                ) -> List[ExperimentResult]:
         """Run every registered experiment, optionally one tag's worth.
 
-        ``workers > 1`` shards the suite across a multiprocess worker
-        pool (see :mod:`repro.experiments.parallel`); results come back
-        in registry order and are bit-identical to the serial path.
-        ``workers`` absent, 0 or 1 *is* the serial path — no pool is
-        created.  ``overrides`` maps experiment names to per-experiment
-        parameter overrides; ``progress`` receives claim/finish events
-        (the CLI's live progress line).
+        Experiments run one after another in registry order, each
+        through :meth:`run` (so both cache tiers apply).  ``overrides``
+        maps experiment names to per-experiment parameter overrides;
+        ``progress`` receives claim/finish events (the CLI's live
+        progress line).
         """
         specs = self.registry.all(tag)
         by_name = dict(overrides or {})
         for name in by_name:
             self.registry.get(name)  # unknown names fail loudly
-        if workers is not None and workers > 1 and len(specs) > 1:
-            from repro.experiments.parallel import run_all_parallel
-            return run_all_parallel(self, specs, smoke=smoke,
-                                    workers=workers, overrides=by_name,
-                                    progress=progress,
-                                    mp_context=mp_context)
         results = []
         for spec in specs:
             spec_overrides = dict(by_name.get(spec.name, {}))
@@ -306,6 +398,7 @@ def run_experiment(name: str, smoke: bool = False,
 
 __all__ = [
     "ExperimentResult",
+    "ProgressReporter",
     "Runner",
     "default_runner",
     "run_experiment",

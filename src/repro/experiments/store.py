@@ -16,8 +16,9 @@ changed.  Lookups are fail-open: a truncated, corrupt or hand-mangled
 entry counts as a miss (and is recorded in :meth:`ResultStore.stats`),
 never an exception, so the caller simply recomputes.
 
-Writes are atomic (temp file + ``os.replace``) and therefore safe under
-the parallel executor's concurrent workers.
+Writes are atomic (temp file + ``os.replace``), so concurrent
+``run-all --store DIR`` invocations sharing one store never leave a
+half-written entry behind.
 """
 
 from __future__ import annotations

@@ -18,9 +18,12 @@ stations → same digest).
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Tuple
+
+from repro.constants import BIAS_VOLTAGE_MAX_V, BIAS_VOLTAGE_MIN_V
 
 #: Request kinds the service accepts.
 REQUEST_KINDS = ("measure", "optimize", "schedule", "health")
@@ -44,7 +47,8 @@ class Request:
     arrival_s:
         Virtual arrival time at the service, seconds from trace start.
     vx, vy:
-        Bias pair a ``measure`` request asks to be probed at.
+        Bias pair a ``measure`` request asks to be probed at, each in
+        ``[BIAS_VOLTAGE_MIN_V, BIAS_VOLTAGE_MAX_V]``.
     strategy:
         TDMA strategy a ``schedule`` request asks for.
     """
@@ -61,8 +65,14 @@ class Request:
         if self.kind not in REQUEST_KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}; "
                              f"expected one of {REQUEST_KINDS}")
-        if self.arrival_s < 0.0:
-            raise ValueError("arrival time must be non-negative")
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0.0):
+            raise ValueError(f"arrival time must be finite and non-negative, "
+                             f"got {self.arrival_s!r}")
+        for name, bias in (("vx", self.vx), ("vy", self.vy)):
+            if not BIAS_VOLTAGE_MIN_V <= bias <= BIAS_VOLTAGE_MAX_V:
+                raise ValueError(
+                    f"{name} must lie in [{BIAS_VOLTAGE_MIN_V:g}, "
+                    f"{BIAS_VOLTAGE_MAX_V:g}] V, got {bias!r}")
 
     def key(self) -> str:
         """Canonical one-line form (the trace digest's unit)."""

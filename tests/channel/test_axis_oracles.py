@@ -11,7 +11,8 @@ against references that never touch the axis layer:
   the scalar ``received_power_dbm`` (a 0-d pass with no grid axis);
 * physics that holds for any implementation: Malus's law for a rotated
   receive dipole and the -20 dB/decade Friis slope, on a link with no
-  surface and no clutter.
+  surface and no clutter, and the linearity of the whole budget in
+  transmit power (+k dB in gives +k dB out) on every layout.
 """
 
 import math
@@ -259,6 +260,24 @@ class TestPhysicsOracles:
                  amplitude_to_db(4.0 * math.pi * distances / wavelength))
         np.testing.assert_allclose(_sweep(config, "distance", distances),
                                    friis, rtol=0, atol=TOLERANCE_DB)
+
+    @pytest.mark.parametrize("layout", ["transmissive", "reflective",
+                                        "no-surface"])
+    def test_tx_power_steps_pass_through_unchanged(self, layout):
+        # Every path — direct, via the surface, multipath clutter — is
+        # linear in the transmitted field, so +k dB in is +k dB out.
+        config = _configuration(layout)
+        steps = np.array([-17.5, -3.0, 0.0, 0.5, 6.0, 20.0])
+        powers = config.tx_power_dbm + steps
+        for vx, vy in BIAS_PAIRS:
+            base = _scalar_power(config, vx, vy)
+            fresh = [_scalar_power(config.with_tx_power_dbm(float(power)),
+                                   vx, vy) for power in powers]
+            np.testing.assert_allclose(np.subtract(fresh, base), steps,
+                                       rtol=0, atol=TOLERANCE_DB)
+            swept = _sweep(config, "tx_power", powers, vx, vy)
+            np.testing.assert_allclose(swept - base, steps, rtol=0,
+                                       atol=TOLERANCE_DB)
 
     def test_a_distance_decade_costs_twenty_db(self):
         config = self._free_space()

@@ -109,20 +109,18 @@ class TestRunAll:
         assert f"done {total}/{total}" in out
         assert "eta" in out
 
-    def test_workers_and_store_skip_already_computed(self, capsys,
-                                                     tmp_path):
+    def test_store_skips_already_computed(self, capsys, tmp_path):
         store = tmp_path / "store"
         argv = ["run-all", "--tag", "design", "--smoke", "--check",
-                "--workers", "2", "--store", str(store)]
+                "--store", str(store)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         total = len(REGISTRY.names("design"))
         assert f"{total} computed, 0 cached" in cold
-        assert "2 workers" in cold
         assert f"store {store}: {total} entries" in cold
 
         # Second invocation (fresh process-level Runner): everything is
-        # served from the warm store, nothing touches the pool.
+        # served from the warm store.
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert f"0 computed, {total} cached" in warm

@@ -1,13 +1,15 @@
-"""Regression tests: ProgressReporter under hostile clocks and totals.
+"""ProgressReporter: slice accounting, rendering, hostile clocks and totals.
 
-The reporter feeds a live ETA line; a zero/negative total or a clock
-stepping backwards (NTP slew, frozen test clocks) must degrade to
-clamped numbers, never to a ZeroDivisionError or a negative ETA.
+The reporter feeds ``run-all``'s live ETA line.  It counts claimed,
+done, computed, cached and failed slices honestly, and a zero/negative
+total or a clock stepping backwards (NTP slew, frozen test clocks) must
+degrade to clamped numbers, never to a ZeroDivisionError or a negative
+ETA.
 """
 
 import io
 
-from repro.experiments.parallel import ProgressReporter
+from repro.experiments.runner import ProgressReporter
 
 
 class FakeClock:
@@ -103,3 +105,59 @@ class TestExistingContractPreserved:
         reporter.finish("a")
         eta = reporter.eta_seconds()
         assert eta is not None and eta >= 0.0
+
+
+class TestProgressReporter:
+    def test_slice_accounting(self):
+        stream = io.StringIO()
+        progress = ProgressReporter(total=3, stream=stream)
+        assert progress.eta_seconds() is None
+        progress.claim("a")
+        progress.finish("a", "ok", elapsed=0.01)
+        progress.claim("b")
+        progress.finish("b", "cached")
+        progress.claim("c")
+        progress.finish("c", "failed")
+        assert (progress.claimed, progress.done) == (3, 3)
+        assert progress.computed == 2  # ok + failed both ran
+        assert progress.cached == 1
+        assert progress.failed == 1
+        assert progress.eta_seconds() == 0.0
+
+    def test_plain_stream_keeps_full_history(self):
+        stream = io.StringIO()
+        progress = ProgressReporter(total=2, label="suite", stream=stream)
+        progress.claim("fig12")
+        progress.finish("fig12", "ok", elapsed=0.5)
+        lines = stream.getvalue().splitlines()
+        assert any("claimed fig12" in line for line in lines)
+        assert any(line.startswith("fig12") and "ok" in line
+                   for line in lines)
+        assert all("\r" not in line for line in lines)
+        assert "[suite] claimed 1/2" in stream.getvalue()
+
+    def test_line_and_summary_render(self):
+        progress = ProgressReporter(total=4, stream=io.StringIO())
+        progress.claim("a")
+        progress.finish("a", "ok")
+        line = progress.line()
+        assert "claimed 1/4" in line and "done 1/4" in line
+        assert "eta" in line
+        summary = progress.summary()
+        assert summary.startswith("1/4 slices")
+        assert "1 computed, 0 cached" in summary
+
+    def test_disabled_reporter_stays_silent(self):
+        stream = io.StringIO()
+        progress = ProgressReporter(total=1, stream=stream, enabled=False)
+        progress.claim("a")
+        progress.finish("a", "ok")
+        assert stream.getvalue() == ""
+
+    def test_timed_records_elapsed(self):
+        stream = io.StringIO()
+        progress = ProgressReporter(total=1, stream=stream)
+        with progress.timed("fig12", "ok"):
+            pass
+        assert progress.done == 1
+        assert "fig12" in stream.getvalue()
